@@ -1,10 +1,11 @@
 // PARALLEL — campaign-engine throughput: the PR 2 health chaos scenario
-// swept serially and across core::ThreadPool workers, in both engine
-// modes. Claims checked and measured:
+// swept serially and across core::ThreadPool workers. Claims checked and
+// measured:
 //  a) determinism: the CampaignReport is byte-identical between serial
-//     and parallel sweeps at every worker count, AND between the
-//     fresh-world path and the pooled-SimContext path (arena-backed
-//     scheduler, reset between seeds);
+//     and parallel sweeps at every worker count, AND between a scenario
+//     that builds a fresh heap Scheduler per run and one that runs on the
+//     worker's pooled SimContext (arena-backed scheduler, reset between
+//     seeds) — speedup_vs_fresh is what the pool buys;
 //  b) allocator: raw scheduler event churn on an arena vs the global
 //     heap (the micro-win the EventArena exists for);
 //  c) throughput: sweep wall-clock scales with workers (speedup vs the
@@ -33,9 +34,8 @@ constexpr core::SimTime kRunEnd = core::seconds(2);
 // One replicated-sensor chaos world per seed: three replicas behind a 2oo3
 // voter, heartbeat watchdog, safety supervisor, and a seeded schedule of
 // lying / mute replicas (the PR 2 health chaos campaign scenario). Builds
-// on the scheduler it is handed, so the fresh-world and warm-context
-// entry points share one body.
-fault::Metrics run_chaos_on(core::Scheduler& sim, std::uint64_t seed) {
+// on the scheduler it is handed, so both arms below share one body.
+fault::Metrics run_chaos(core::Scheduler& sim, std::uint64_t seed) {
   core::Rng rng(seed);
 
   health::VoterConfig vcfg;
@@ -141,13 +141,17 @@ fault::Metrics run_chaos_on(core::Scheduler& sim, std::uint64_t seed) {
   return m;
 }
 
-fault::Metrics run_chaos(std::uint64_t seed) {
-  core::Scheduler sim;
-  return run_chaos_on(sim, seed);
+// The pooled arm: every run on the worker context's arena-backed
+// scheduler, as every campaign scenario runs.
+fault::Metrics pooled(fault::SimContext& ctx, std::uint64_t seed) {
+  return run_chaos(ctx.sim(), seed);
 }
 
-fault::Metrics run_chaos_ctx(fault::SimContext& ctx, std::uint64_t seed) {
-  return run_chaos_on(ctx.sim(), seed);
+// The fresh-world reference arm: ignores the context and builds a global
+// heap Scheduler per run — the cost the pool exists to avoid.
+fault::Metrics fresh_world(fault::SimContext& /*ctx*/, std::uint64_t seed) {
+  core::Scheduler sim;
+  return run_chaos(sim, seed);
 }
 
 fault::Campaign make_campaign(std::size_t runs, std::size_t workers) {
@@ -225,13 +229,12 @@ int main(int argc, char** argv) {
   fault::CampaignReport fresh_report;
   const double fresh_ns =
       h.time("sweep_serial", static_cast<double>(runs), [&] {
-        fresh_report = make_campaign(runs, 1).sweep(run_chaos);
+        fresh_report = make_campaign(runs, 1).sweep(fresh_world);
       });
   fault::CampaignReport serial_report;  // pooled-context serial baseline
   const double serial_ns =
       h.time("sweep_serial_reuse", static_cast<double>(runs), [&] {
-        serial_report = make_campaign(runs, 1).sweep(
-            fault::Campaign::CtxRunFn(run_chaos_ctx));
+        serial_report = make_campaign(runs, 1).sweep(pooled);
       });
   bool all_identical = fault::identical(fresh_report, serial_report);
   h.add({"sweep_serial_reuse_speedup", serial_ns, static_cast<double>(runs),
@@ -253,8 +256,7 @@ int main(int argc, char** argv) {
     fault::CampaignReport report;
     const std::string label = "sweep_workers_" + std::to_string(workers);
     const double ns = h.time(label, static_cast<double>(runs), [&] {
-      report = make_campaign(runs, workers)
-                   .sweep(fault::Campaign::CtxRunFn(run_chaos_ctx));
+      report = make_campaign(runs, workers).sweep(pooled);
     });
     const bool same = fault::identical(serial_report, report) &&
                       fault::identical(fresh_report, report);

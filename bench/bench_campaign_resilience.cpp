@@ -33,8 +33,8 @@ std::uint64_t g_events_per_run = 2000;
 // A healthy seed-deterministic scenario: every run dispatches exactly
 // g_events_per_run scheduler events, so supervision cost is measurable
 // per event dispatched.
-fault::Metrics scenario(std::uint64_t seed) {
-  core::Scheduler sim;
+fault::Metrics scenario(fault::SimContext& ctx, std::uint64_t seed) {
+  core::Scheduler& sim = ctx.sim();
   fault::supervise(sim);
   core::Rng rng(seed);
   double level = 0.0;

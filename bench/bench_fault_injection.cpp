@@ -188,8 +188,9 @@ void campaign_sweep() {
   campaign.require("feed alive at end", [](const fault::Metrics& m) {
     return m.at("alive") == 1.0;
   });
-  const auto report = campaign.sweep([](std::uint64_t seed) {
-    core::Scheduler sim;
+  const auto report = campaign.sweep([](fault::SimContext& ctx,
+                                       std::uint64_t seed) {
+    core::Scheduler& sim = ctx.sim();
     netsim::CanBus bus(sim, {});
     const int primary = bus.attach("primary", nullptr);
     const int backup = bus.attach("backup", nullptr);

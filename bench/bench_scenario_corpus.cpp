@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
              for (std::size_t i = 0; i < limit; ++i) {
                const scenario::CompiledScenario& s = compiled[i];
                auto run = [&s](fault::SimContext& ctx, std::uint64_t seed) {
-                 return s.run_ctx(ctx, seed);
+                 return s.run(ctx.sim(), seed);
                };
                fault::CampaignReport r = s.campaign(workers).sweep(run);
                total_runs += s.spec().runs;

@@ -29,9 +29,10 @@ using namespace avsec;
 
 namespace {
 
-// One full world per run: build, fault, simulate, measure.
-fault::Metrics run_scenario(std::uint64_t seed) {
-  core::Scheduler sim;
+// One full world per run, on the worker's pooled scheduler: build, fault,
+// simulate, measure.
+fault::Metrics run_scenario(fault::SimContext& ctx, std::uint64_t seed) {
+  core::Scheduler& sim = ctx.sim();
   // Opt in to campaign supervision: inside a supervised sweep this chains
   // the run's event budget / deadline guard onto the scheduler; standalone
   // (replay, tracing) it is a no-op.
@@ -312,10 +313,11 @@ int main(int argc, char** argv) {
     const auto failing = report.failing_seeds();
     const std::uint64_t seed =
         failing.empty() ? report.outcomes.front().seed : failing.front();
-    obs::TraceRecorder rec;
+    fault::SimContext ctx;
+    obs::TraceRecorder& rec = ctx.recorder();
     {
       obs::TraceScope scope(rec);
-      run_scenario(seed);
+      run_scenario(ctx, seed);
     }
     if (obs::write_chrome_trace(rec, trace_path)) {
       std::printf("wrote Perfetto trace of seed %llu to %s "

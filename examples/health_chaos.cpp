@@ -32,7 +32,7 @@ namespace {
 
 // Three replicas + voter + monitor + supervisor, shared by both parts.
 struct World {
-  core::Scheduler sim;
+  core::Scheduler& sim;
   health::RedundancyVoter voter;
   ids::AlertCorrelator correlator;
   health::HeartbeatMonitor monitor;
@@ -42,8 +42,9 @@ struct World {
   std::vector<fault::ReplicaFault> targets;
   fault::FaultInjector injector;
 
-  World()
-      : voter(
+  explicit World(core::Scheduler& scheduler)
+      : sim(scheduler),
+        voter(
             [] {
               health::VoterConfig v;
               v.tolerance = 0.5;
@@ -100,7 +101,8 @@ struct World {
 };
 
 void escalation_ladder() {
-  World w;
+  core::Scheduler sim;
+  World w(sim);
   core::Rng rng(1);
   constexpr core::SimTime kEnd = core::seconds(2);
   std::function<void()> publish = [&] {
@@ -146,8 +148,8 @@ void escalation_ladder() {
               w.correlator.incidents().size());
 }
 
-fault::Metrics run_chaos(std::uint64_t seed) {
-  World w;
+fault::Metrics run_chaos(fault::SimContext& ctx, std::uint64_t seed) {
+  World w(ctx.sim());
   // Chain the campaign's supervision guard (if any) onto this world's
   // scheduler; a no-op when the scenario runs standalone.
   fault::supervise(w.sim);
@@ -384,10 +386,11 @@ int main(int argc, char** argv) {
     const auto failing = report.failing_seeds();
     const std::uint64_t seed =
         failing.empty() ? report.outcomes.front().seed : failing.front();
-    obs::TraceRecorder rec;
+    fault::SimContext ctx;
+    obs::TraceRecorder& rec = ctx.recorder();
     {
       obs::TraceScope scope(rec);
-      run_chaos(seed);
+      run_chaos(ctx, seed);
     }
     if (obs::write_chrome_trace(rec, trace_path)) {
       std::printf("wrote Perfetto trace of seed %llu to %s "

@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
   std::size_t index = 0;
   for (const scenario::CompiledScenario& s : scenarios) {
     auto run = [&s, scale](fault::SimContext& ctx, std::uint64_t seed) {
-      return s.run_ctx(ctx, seed, scale);
+      return s.run(ctx.sim(), seed, scale);
     };
     const fault::CampaignReport serial = s.campaign(1).sweep(run);
 

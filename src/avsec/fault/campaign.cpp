@@ -12,26 +12,12 @@
 #include "avsec/core/thread_pool.hpp"
 #include "avsec/fault/manifest.hpp"
 #include "avsec/obs/export.hpp"
+#include "avsec/obs/trace.hpp"
 
 namespace avsec::fault {
 namespace {
 
 using Invariants = std::vector<std::pair<std::string, Campaign::Check>>;
-
-// Either scenario flavor behind one call signature. A context-aware
-// scenario runs inside the worker's pooled SimContext; a plain one
-// ignores it (the context, when pooled, still provides recorder reuse).
-struct RunAdapter {
-  const Campaign::RunFn* plain = nullptr;
-  const Campaign::CtxRunFn* with_ctx = nullptr;
-
-  bool needs_ctx() const { return with_ctx != nullptr; }
-
-  Metrics operator()(SimContext* ctx, std::uint64_t seed) const {
-    if (with_ctx != nullptr) return (*with_ctx)(*ctx, seed);
-    return (*plain)(seed);
-  }
-};
 
 // --- merge-tree aggregation ---------------------------------------------
 //
@@ -111,52 +97,30 @@ void fold_report(CampaignReport& report,
   report.runs_retried = blocks[0].retried;
 }
 
-// One execution attempt: build (or reset) the world, collect metrics,
-// evaluate invariants, capture the trace per policy. Pure function of
-// the seed whether or not a pooled context is supplied.
+// One execution attempt: reset the worker's context, collect metrics,
+// evaluate invariants, capture the trace per policy. Every attempt —
+// retries included — starts from the reset-determinism baseline:
+// scheduler and arena rewound, recorder emptied.
 void attempt_once(const CampaignConfig& config, const Invariants& invariants,
-                  const RunAdapter& run, SimContext* ctx, RunOutcome& o) {
+                  const Campaign::CtxRunFn& run, SimContext& ctx,
+                  RunOutcome& o) {
   o.metrics.clear();
   o.violated.clear();
   o.trace.clear();
   o.error.clear();
-  // Every attempt starts from the reset-determinism baseline: scheduler
-  // and arena rewound, recorder emptied (retries included).
-  if (ctx != nullptr) ctx->reset();
+  ctx.reset();
   if (config.trace == TraceCapture::kOff) {
     o.metrics = run(ctx, o.seed);
-    for (const auto& [name, check] : invariants) {
-      if (!check(o.metrics)) o.violated.push_back(name);
-    }
-  } else if (ctx != nullptr) {
-    // Pooled capture: the context's recorder — ring and intern table
-    // already warm from the previous seed — was emptied by reset() above,
-    // so its dump is byte-identical to a fresh recorder's.
-    {
-      obs::TraceScope scope(ctx->recorder());
-      o.metrics = run(ctx, o.seed);
-    }
-    for (const auto& [name, check] : invariants) {
-      if (!check(o.metrics)) o.violated.push_back(name);
-    }
-    if (config.trace == TraceCapture::kAllRuns || !o.violated.empty()) {
-      o.trace = obs::text_dump(ctx->recorder());
-    }
   } else {
-    // A private recorder per run, installed only on this worker thread:
-    // the scenario's instrumentation captures the run's own timeline
-    // with no cross-run or cross-thread sharing.
-    obs::TraceRecorder rec(config.trace_capacity);
-    {
-      obs::TraceScope scope(rec);
-      o.metrics = run(ctx, o.seed);
-    }
-    for (const auto& [name, check] : invariants) {
-      if (!check(o.metrics)) o.violated.push_back(name);
-    }
-    if (config.trace == TraceCapture::kAllRuns || !o.violated.empty()) {
-      o.trace = obs::text_dump(rec);
-    }
+    obs::TraceScope scope(ctx.recorder());
+    o.metrics = run(ctx, o.seed);
+  }
+  for (const auto& [name, check] : invariants) {
+    if (!check(o.metrics)) o.violated.push_back(name);
+  }
+  if (config.trace == TraceCapture::kAllRuns ||
+      (config.trace == TraceCapture::kFailingRuns && !o.violated.empty())) {
+    o.trace = obs::text_dump(ctx.recorder());
   }
   o.status =
       o.violated.empty() ? RunStatus::kPassed : RunStatus::kViolated;
@@ -168,8 +132,9 @@ void attempt_once(const CampaignConfig& config, const Invariants& invariants,
 // wall-clock (it paces retries, it does not touch the result), so the
 // outcome itself stays a pure function of the seed.
 void execute_supervised(const CampaignConfig& config,
-                        const Invariants& invariants, const RunAdapter& run,
-                        SimContext* ctx, RunOutcome& o) {
+                        const Invariants& invariants,
+                        const Campaign::CtxRunFn& run, SimContext& ctx,
+                        RunOutcome& o) {
   const SupervisionConfig& sup = config.supervision;
   const int max_attempts = std::max(sup.retry.max_retries, 0) + 1;
   for (int attempt = 0;; ++attempt) {
@@ -222,7 +187,7 @@ ManifestHeader header_for(const CampaignConfig& config,
 // exactly why a resumed report is byte-identical to an uninterrupted one.
 CampaignReport execute_sweep(const CampaignConfig& config,
                              const Invariants& invariants,
-                             const RunAdapter& run,
+                             const Campaign::CtxRunFn& run,
                              std::map<std::size_t, RunOutcome>* loaded,
                              ManifestWriter* writer, ResumeStats* stats) {
   CampaignReport report;
@@ -271,7 +236,7 @@ CampaignReport execute_sweep(const CampaignConfig& config,
   // Per-run work. Everything here depends only on the run's own seed, so
   // it can execute on any thread; the manifest append is the only shared
   // touch and the writer serializes it internally.
-  auto execute = [&](std::size_t i, SimContext* ctx) {
+  auto execute = [&](std::size_t i, SimContext& ctx) {
     RunOutcome& o = outcomes[i];
     if (config.supervision.enabled) {
       execute_supervised(config, invariants, run, ctx, o);
@@ -287,35 +252,22 @@ CampaignReport execute_sweep(const CampaignConfig& config,
                             : config.workers;
   workers = std::min(workers, std::max<std::size_t>(todo.size(), 1));
 
-  // One warm SimContext per worker slot when the scenario takes one (or
-  // the reuse knob is on — which gives even plain scenarios recorder
-  // reuse). Contexts are built here on the sweeping thread; the first
-  // reset() inside attempt_once hands confinement to the worker.
-  std::vector<std::unique_ptr<SimContext>> contexts;
-  if (run.needs_ctx() || config.reuse_contexts) {
-    contexts.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      contexts.push_back(std::make_unique<SimContext>(config.trace_capacity));
-    }
-  }
-  auto context_for = [&](std::size_t slot) -> SimContext* {
-    return contexts.empty() ? nullptr : contexts[slot].get();
-  };
+  // One warm SimContext per worker slot, built here on the sweeping
+  // thread; the first reset() inside attempt_once hands confinement to
+  // the worker.
+  const auto contexts = std::make_unique<SimContext[]>(workers);
 
   // Workers claim contiguous chunks of the work list (amortized dispatch,
   // one writer per neighborhood of outcome slots). Chunk size shapes only
   // scheduling, never results.
-  const std::size_t chunk =
-      config.chunk != 0
-          ? config.chunk
-          : std::clamp<std::size_t>(todo.size() / (workers * 4),
-                                    std::size_t{1}, std::size_t{64});
+  const std::size_t chunk = std::clamp<std::size_t>(
+      todo.size() / (workers * 4), std::size_t{1}, std::size_t{64});
 
   std::unique_ptr<core::ThreadPool> pool;
   if (workers > 1) pool = std::make_unique<core::ThreadPool>(workers);
 
   if (pool == nullptr) {
-    for (const std::size_t i : todo) execute(i, context_for(0));
+    for (const std::size_t i : todo) execute(i, contexts[0]);
   } else if (config.supervision.enabled) {
     // Drain mode: execute() already converts scenario failures into
     // structured outcomes, so anything landing in an error slot is
@@ -326,10 +278,9 @@ CampaignReport execute_sweep(const CampaignConfig& config,
     pool->for_each_chunk(
         todo.size(), chunk,
         [&](std::size_t slot, std::size_t lo, std::size_t hi) {
-          SimContext* ctx = context_for(slot);
           for (std::size_t k = lo; k < hi; ++k) {
             try {
-              execute(todo[k], ctx);
+              execute(todo[k], contexts[slot]);
             } catch (...) {
               errors[k] = std::current_exception();
             }
@@ -358,9 +309,8 @@ CampaignReport execute_sweep(const CampaignConfig& config,
     pool->for_each_chunk(todo.size(), chunk,
                          [&](std::size_t slot, std::size_t lo,
                              std::size_t hi) {
-                           SimContext* ctx = context_for(slot);
                            for (std::size_t k = lo; k < hi; ++k) {
-                             execute(todo[k], ctx);
+                             execute(todo[k], contexts[slot]);
                            }
                          });
   }
@@ -401,7 +351,7 @@ CampaignReport execute_sweep(const CampaignConfig& config,
 
 CampaignReport sweep_impl(const CampaignConfig& config,
                           const Invariants& invariants,
-                          const RunAdapter& run) {
+                          const Campaign::CtxRunFn& run) {
   ManifestWriter writer;
   ManifestWriter* journal = nullptr;
   if (!config.manifest_path.empty() &&
@@ -413,7 +363,8 @@ CampaignReport sweep_impl(const CampaignConfig& config,
 }
 
 CampaignReport resume_impl(const CampaignConfig& config,
-                           const Invariants& invariants, const RunAdapter& run,
+                           const Invariants& invariants,
+                           const Campaign::CtxRunFn& run,
                            const std::string& manifest_path,
                            ResumeStats* stats) {
   ManifestData data = read_manifest(manifest_path);
@@ -518,32 +469,14 @@ std::vector<std::string> Campaign::invariant_names() const {
   return names;
 }
 
-CampaignReport Campaign::sweep(const RunFn& run) const {
-  RunAdapter adapter;
-  adapter.plain = &run;
-  return sweep_impl(config_, invariants_, adapter);
-}
-
 CampaignReport Campaign::sweep(const CtxRunFn& run) const {
-  RunAdapter adapter;
-  adapter.with_ctx = &run;
-  return sweep_impl(config_, invariants_, adapter);
-}
-
-CampaignReport Campaign::resume(const RunFn& run,
-                                const std::string& manifest_path,
-                                ResumeStats* stats) const {
-  RunAdapter adapter;
-  adapter.plain = &run;
-  return resume_impl(config_, invariants_, adapter, manifest_path, stats);
+  return sweep_impl(config_, invariants_, run);
 }
 
 CampaignReport Campaign::resume(const CtxRunFn& run,
                                 const std::string& manifest_path,
                                 ResumeStats* stats) const {
-  RunAdapter adapter;
-  adapter.with_ctx = &run;
-  return resume_impl(config_, invariants_, adapter, manifest_path, stats);
+  return resume_impl(config_, invariants_, run, manifest_path, stats);
 }
 
 }  // namespace avsec::fault

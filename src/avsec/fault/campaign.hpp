@@ -5,20 +5,22 @@
 // fault schedule drawn from this family, the bus recovers / the session
 // re-establishes / latency stays bounded." The runner derives one seed per
 // run from the base seed, calls the user's scenario function (which builds
-// a fresh world, arms a FaultPlan, runs the scheduler and returns named
-// metrics), and evaluates every invariant against those metrics.
+// its world on the context's scheduler, arms a FaultPlan, runs it and
+// returns named metrics), and evaluates every invariant against those
+// metrics.
 //
-// Sweeps fan out across a core::ThreadPool when `workers > 1`: workers
-// claim contiguous chunks of run indices, and each worker can keep a warm
-// SimContext (arena-backed scheduler, persistent trace recorder) that is
-// reset between seeds instead of rebuilt. The runs are independent worlds
-// by construction (reset scheduler, fresh RNG stream, seed derived per
-// run index), so the parallel sweep produces a report byte-identical to
-// the serial one: outcomes are stored by run index, and aggregation folds
-// through a fixed merge tree over run-order blocks whose boundaries
-// depend only on the run count — never on workers or chunking (see
-// DESIGN.md §8). The scenario function must be safe to call concurrently;
-// it must not touch shared mutable state outside its own context.
+// Every run executes on its worker's pooled SimContext (arena-backed
+// scheduler, persistent trace recorder), reset before each attempt instead
+// of rebuilt. Sweeps fan out across a core::ThreadPool when `workers > 1`:
+// workers claim contiguous chunks of run indices, one context per worker.
+// The runs are independent worlds by construction (reset scheduler, fresh
+// RNG stream, seed derived per run index), so the parallel sweep produces
+// a report byte-identical to the serial one: outcomes are stored by run
+// index, and aggregation folds through a fixed merge tree over run-order
+// blocks whose boundaries depend only on the run count — never on workers
+// or chunking (see DESIGN.md §8). The scenario function must be safe to
+// call concurrently; it must not touch shared mutable state outside its
+// own context.
 //
 // With `config.supervision.enabled`, each run executes under a
 // fault::RunGuard: a throwing run becomes a structured RunOutcome
@@ -40,16 +42,15 @@
 #include "avsec/core/stats.hpp"
 #include "avsec/fault/context.hpp"
 #include "avsec/fault/resilience.hpp"
-#include "avsec/obs/trace.hpp"
 
 namespace avsec::fault {
 
 /// Named scalar results of one scenario run.
 using Metrics = std::map<std::string, double>;
 
-/// Per-run trace capture policy for a sweep. Capture installs an ambient
-/// obs::TraceRecorder around each run (scoped to the worker thread), so
-/// the scenario's instrumentation lands in a private per-run ring.
+/// Per-run trace capture policy for a sweep. Capture installs the worker
+/// context's obs::TraceRecorder (emptied by the reset before each attempt)
+/// as the ambient recorder around the run, scoped to the worker thread.
 enum class TraceCapture : std::uint8_t {
   kOff,          // no recorder installed (default; zero overhead)
   kFailingRuns,  // record every run, keep the dump only when it fails
@@ -64,8 +65,6 @@ struct CampaignConfig {
   std::size_t workers = 1;
   /// Per-run trace capture (auto-records the failing seed's forensics).
   TraceCapture trace = TraceCapture::kOff;
-  /// Ring capacity of the per-run recorder when capture is on.
-  std::size_t trace_capacity = obs::TraceRecorder::kDefaultCapacity;
   /// Run-level supervision (budgets, crash capture, retry, quarantine).
   /// Disabled by default: an unsupervised sweep behaves exactly like the
   /// pre-resilience engine — a throwing run aborts the sweep.
@@ -76,17 +75,6 @@ struct CampaignConfig {
   std::string manifest_path;
   /// Runs appended between fsyncs of the manifest; 1 = fsync every run.
   std::size_t manifest_fsync_chunk = 8;
-  /// Opt-in context pooling for plain RunFn scenarios: each worker keeps a
-  /// warm SimContext (arena, scheduler, persistent trace recorder) that is
-  /// reset between seeds instead of reconstructed. Off by default so
-  /// existing scenarios behave exactly as before; the report is
-  /// byte-identical either way. Scenarios written against CtxRunFn always
-  /// get pooled contexts — taking the context parameter *is* the opt-in.
-  bool reuse_contexts = false;
-  /// Runs per contiguous chunk a worker claims from the sweep (amortizes
-  /// dispatch and keeps neighboring outcome slots on one worker). 0 =
-  /// auto-size from runs/workers. Never affects report bytes.
-  std::size_t chunk = 0;
 };
 
 struct RunOutcome {
@@ -140,12 +128,9 @@ bool identical(const CampaignReport& a, const CampaignReport& b);
 
 class Campaign {
  public:
-  using RunFn = std::function<Metrics(std::uint64_t seed)>;
-  /// Context-aware scenario: runs inside a pooled per-worker SimContext.
-  /// The context arrives freshly reset() — use ctx.sim() instead of
-  /// constructing a Scheduler, and ctx.fixture<T>() for topology worth
-  /// building once per worker. Everything the run returns must still be a
-  /// pure function of the seed.
+  /// A scenario: runs inside the worker's pooled SimContext, which
+  /// arrives freshly reset() — build the world on ctx.sim(). Everything
+  /// the run returns must be a pure function of the seed.
   using CtxRunFn = std::function<Metrics(SimContext& ctx, std::uint64_t seed)>;
   using Check = std::function<bool(const Metrics&)>;
 
@@ -154,16 +139,12 @@ class Campaign {
   /// Adds an invariant every run must satisfy.
   Campaign& require(std::string name, Check check);
 
-  /// Runs the sweep, serially or across config.workers threads. Seeds are
-  /// derived deterministically from base_seed, so a failing seed can be
-  /// replayed in isolation; the report does not depend on worker count.
-  /// Unsupervised, an exception thrown by any run aborts the sweep and
-  /// propagates; supervised, it becomes a structured outcome.
-  CampaignReport sweep(const RunFn& run) const;
-
-  /// Context-aware sweep: identical semantics, but each run executes in a
-  /// pooled per-worker SimContext (reset between seeds). Byte-identity
-  /// across worker counts holds exactly as for the plain overload.
+  /// Runs the sweep, serially or across config.workers threads, each run
+  /// on its worker's pooled SimContext. Seeds are derived deterministically
+  /// from base_seed, so a failing seed can be replayed in isolation; the
+  /// report does not depend on worker count. Unsupervised, an exception
+  /// thrown by any run aborts the sweep and propagates; supervised, it
+  /// becomes a structured outcome.
   CampaignReport sweep(const CtxRunFn& run) const;
 
   /// Re-runs only the runs a previous sweep's manifest is missing (or
@@ -173,10 +154,6 @@ class Campaign {
   /// match this campaign (runs / base_seed / invariant names) throws
   /// std::invalid_argument; a missing or headerless manifest degrades to
   /// a fresh sweep that rewrites it.
-  CampaignReport resume(const RunFn& run, const std::string& manifest_path,
-                        ResumeStats* stats = nullptr) const;
-
-  /// Context-aware resume (see the CtxRunFn sweep overload).
   CampaignReport resume(const CtxRunFn& run, const std::string& manifest_path,
                         ResumeStats* stats = nullptr) const;
 

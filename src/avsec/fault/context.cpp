@@ -2,8 +2,7 @@
 
 namespace avsec::fault {
 
-SimContext::SimContext(std::size_t trace_capacity)
-    : sim_(&arena_), recorder_(trace_capacity) {}
+SimContext::SimContext() : sim_(&arena_) {}
 
 void SimContext::reset() {
   // Order matters: the scheduler's containers must hand their storage

@@ -1,28 +1,25 @@
 // Reusable per-worker simulation context: the allocation-warm home of a
 // campaign worker's runs.
 //
-// Profiling parallel sweeps showed run time dominated not by simulated
-// work but by per-run setup: a fresh Scheduler heap, fresh tombstone
-// sets, a ~1 MiB trace ring, and scenario fixtures rebuilt from scratch
-// for every seed — all through the global allocator, whose lock is the
-// hidden serialization point that kept 8 workers at ~1× of serial. A
-// SimContext bundles what a worker should build once and reuse per seed:
-// an EventArena, a Scheduler allocating from it, and a TraceRecorder
-// whose ring and intern table persist across runs. reset() returns the
-// whole bundle to a state indistinguishable from freshly constructed —
-// the reset-determinism contract tests/fault/campaign_context_test.cpp
-// enforces byte-for-byte on whole CampaignReports.
+// Every campaign and serve run executes on one: fault::Campaign builds one
+// per sweep worker, serve::Server one per worker slot, and each resets it
+// before every attempt. Building a fresh world per seed instead (a new
+// Scheduler heap, new tombstone sets, a ~1 MiB trace ring, all through the
+// global allocator) measured at half the throughput on the event-heavy
+// T1S sweeps. A SimContext bundles what a worker should build once and
+// reuse per seed: an EventArena, a Scheduler allocating from it, and a
+// TraceRecorder whose ring and intern table persist across runs. reset()
+// returns the whole bundle to a state indistinguishable from freshly
+// constructed — the reset-determinism contract
+// tests/fault/campaign_context_test.cpp enforces byte-for-byte on whole
+// CampaignReports against scenarios that build a fresh world per run.
 //
 // Like the Scheduler it wraps, a SimContext is thread-confined, never
 // shared: one context per pool worker, reset() rebinds confinement to
 // the calling thread (the build-on-main / run-on-worker handoff).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <typeinfo>
-#include <utility>
 
 #include "avsec/core/arena.hpp"
 #include "avsec/core/scheduler.hpp"
@@ -32,8 +29,7 @@ namespace avsec::fault {
 
 class SimContext {
  public:
-  explicit SimContext(
-      std::size_t trace_capacity = obs::TraceRecorder::kDefaultCapacity);
+  SimContext();
 
   SimContext(const SimContext&) = delete;
   SimContext& operator=(const SimContext&) = delete;
@@ -50,43 +46,16 @@ class SimContext {
   /// arena *first*), then the arena (all blocks reusable, still mapped),
   /// then the recorder (counts and tracks rewound, intern cache kept).
   /// Also rebinds thread confinement to the caller, so the first reset()
-  /// on a pool worker doubles as the ownership handoff. The fixture slot
-  /// deliberately survives — that is the point of pooling.
+  /// on a pool worker doubles as the ownership handoff.
   void reset();
 
   /// reset() calls over the context's lifetime (for tests and benches).
   std::uint64_t resets() const { return resets_; }
 
-  /// Worker-persistent fixture slot: the first call builds the fixture
-  /// with `make()`; later calls with the same type return that same
-  /// object, so expensive topology is constructed once per worker and
-  /// shared by every seed the worker executes. Requesting a different
-  /// type destroys the old fixture and builds the new one. T must be
-  /// move-constructible. Scenarios opting into context reuse must keep
-  /// per-seed *state* out of the fixture (or re-derive it per run) —
-  /// the reset-determinism tests will catch leakage as a byte diff.
-  template <class T, class MakeFn>
-  T& fixture(MakeFn&& make) {
-    if (fixture_ == nullptr || *fixture_type_ != typeid(T)) {
-      fixture_.reset();  // destroy the old fixture before building anew
-      fixture_ = std::make_shared<T>(std::forward<MakeFn>(make)());
-      fixture_type_ = &typeid(T);
-    }
-    return *static_cast<T*>(fixture_.get());
-  }
-
-  bool has_fixture() const { return fixture_ != nullptr; }
-  void clear_fixture() {
-    fixture_.reset();
-    fixture_type_ = nullptr;
-  }
-
  private:
   core::EventArena arena_;  // declared before sim_: the scheduler uses it
   core::Scheduler sim_;
   obs::TraceRecorder recorder_;
-  std::shared_ptr<void> fixture_;  // AVSEC-LINT-ALLOW(R6): fixture reuse across reset() is the pooling optimization; fixture() type-checks and rebuilds on mismatch
-  const std::type_info* fixture_type_ = nullptr;  // AVSEC-LINT-ALLOW(R6): tags the retained fixture_ so a mismatched scenario rebuilds instead of reusing
   std::uint64_t resets_ = 0;
 };
 

@@ -839,13 +839,10 @@ serve::Scenario CompiledScenario::serve_entry() const {
   s.description = spec_.description.empty()
                       ? std::string("scenario ") + topology_name(spec_.topology)
                       : spec_.description;
-  const CompiledScenario self = *this;  // immutable copy for the closures
-  s.run = [self](std::uint64_t seed, serve::Scale scale) {
-    core::Scheduler sim;
-    return self.run(sim, seed, scale);
+  s.run_ctx = [self = *this](fault::SimContext& ctx, std::uint64_t seed,
+                             serve::Scale scale) {
+    return self.run(ctx.sim(), seed, scale);
   };
-  s.run_ctx = [self](fault::SimContext& ctx, std::uint64_t seed,
-                     serve::Scale scale) { return self.run_ctx(ctx, seed, scale); };
   s.cost_hint_ms_per_seed =
       1.0 + core::to_microseconds(spec_.horizon) / 400'000.0;
   s.default_max_events = 20'000'000;

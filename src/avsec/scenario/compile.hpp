@@ -7,8 +7,8 @@
 // oracle metric names) against the same validity matrix the coverage map
 // enumerates, and returns either a CompiledScenario or a CompileError
 // carrying the offending file:line. A CompiledScenario is immutable and
-// cheap to copy: it owns only the spec, and its run entry points build a
-// fresh world per call — a pure function of (seed, scale), which is what
+// cheap to copy: it owns only the spec, and run() builds the world on the
+// scheduler it is handed — a pure function of (seed, scale), which is what
 // lets campaign sweeps stay byte-identical at any worker count and lets
 // avsec-serve serve compiled specs like built-in scenarios.
 #pragma once
@@ -66,12 +66,6 @@ class CompiledScenario {
   fault::Metrics run(core::Scheduler& sim, std::uint64_t seed,
                      serve::Scale scale = serve::Scale::kFull) const;
 
-  /// Campaign-shaped entry point (pooled-context sweeps).
-  fault::Metrics run_ctx(fault::SimContext& ctx, std::uint64_t seed,
-                         serve::Scale scale = serve::Scale::kFull) const {
-    return run(ctx.sim(), seed, scale);
-  }
-
   /// Campaign over the spec's runs/seed with one invariant per oracle
   /// (named by the oracle's canonical text) and supervision enabled.
   fault::Campaign campaign(std::size_t workers = 1) const;
@@ -80,8 +74,8 @@ class CompiledScenario {
   /// Names of oracles `m` violates, in file order (empty = all pass).
   std::vector<std::string> oracle_failures(const fault::Metrics& m) const;
 
-  /// serve::registry entry serving this spec by name: run and run_ctx
-  /// wired, cost hint scaled from the horizon.
+  /// serve::registry entry serving this spec by name: run_ctx runs it on
+  /// the worker context's scheduler, cost hint scaled from the horizon.
   serve::Scenario serve_entry() const;
 
   /// The reduced horizon a kSmoke run uses (horizon/5, floor 10ms).

@@ -24,13 +24,12 @@ core::SimTime horizon(Scale scale, core::SimTime full, core::SimTime smoke) {
 
 // CAN segment under randomized node faults: a sensor feed, a latent
 // babbler, and a crash/babble schedule drawn from the seed. Trimmed from
-// examples/fault_campaign.cpp to the serving-cost sweet spot. The world
-// builds on whatever scheduler it is handed, so the same body serves the
-// fresh-scheduler entry point and the warm-context one.
-fault::Metrics run_ivn_can_on(core::Scheduler& sim, std::uint64_t seed,
-                              Scale scale) {
+// examples/fault_campaign.cpp to the serving-cost sweet spot.
+fault::Metrics run_ivn_can(fault::SimContext& ctx, std::uint64_t seed,
+                           Scale scale) {
   const core::SimTime end = horizon(scale, core::milliseconds(600),
                                     core::milliseconds(80));
+  core::Scheduler& sim = ctx.sim();
   fault::supervise(sim);
 
   netsim::CanBus bus(sim, {});
@@ -85,22 +84,13 @@ fault::Metrics run_ivn_can_on(core::Scheduler& sim, std::uint64_t seed,
   return m;
 }
 
-fault::Metrics run_ivn_can(std::uint64_t seed, Scale scale) {
-  core::Scheduler sim;
-  return run_ivn_can_on(sim, seed, scale);
-}
-
-fault::Metrics run_ivn_can_ctx(fault::SimContext& ctx, std::uint64_t seed,
-                               Scale scale) {
-  return run_ivn_can_on(ctx.sim(), seed, scale);
-}
-
 // Robust TLS session over a partitioning link: handshakes and periodic
 // rekeys keep protocol exchanges in flight while link faults land.
-fault::Metrics run_secure_uplink(std::uint64_t seed, Scale scale) {
+fault::Metrics run_secure_uplink(fault::SimContext& ctx, std::uint64_t seed,
+                                 Scale scale) {
   const core::SimTime end = horizon(scale, core::milliseconds(900),
                                     core::milliseconds(150));
-  core::Scheduler sim;
+  core::Scheduler& sim = ctx.sim();
   fault::supervise(sim);
 
   netsim::FlakyChannel uplink(sim, {});
@@ -151,10 +141,11 @@ fault::Metrics run_secure_uplink(std::uint64_t seed, Scale scale) {
 // Multi-source liveness tracking with a seed-derived outage window: one
 // source goes silent mid-run and resumes, the monitor must declare it
 // down and then recovered.
-fault::Metrics run_heartbeat_net_on(core::Scheduler& sim, std::uint64_t seed,
-                                    Scale scale) {
+fault::Metrics run_heartbeat_net(fault::SimContext& ctx, std::uint64_t seed,
+                                 Scale scale) {
   const core::SimTime end = horizon(scale, core::milliseconds(400),
                                     core::milliseconds(60));
+  core::Scheduler& sim = ctx.sim();
   fault::supervise(sim);
 
   health::HeartbeatMonitor monitor(sim, {});
@@ -202,19 +193,10 @@ fault::Metrics run_heartbeat_net_on(core::Scheduler& sim, std::uint64_t seed,
   return m;
 }
 
-fault::Metrics run_heartbeat_net(std::uint64_t seed, Scale scale) {
-  core::Scheduler sim;
-  return run_heartbeat_net_on(sim, seed, scale);
-}
-
-fault::Metrics run_heartbeat_net_ctx(fault::SimContext& ctx,
-                                     std::uint64_t seed, Scale scale) {
-  return run_heartbeat_net_on(ctx.sim(), seed, scale);
-}
-
 // Diagnostic: fails every attempt, exercising the retry -> quarantine
 // path end to end (the serving twin of a campaign poison seed).
-fault::Metrics run_poison_crash(std::uint64_t seed, Scale /*scale*/) {
+fault::Metrics run_poison_crash(fault::SimContext& /*ctx*/, std::uint64_t seed,
+                                Scale /*scale*/) {
   throw std::runtime_error("poisoned scenario (seed " + std::to_string(seed) +
                            "): deterministic crash");
 }
@@ -222,8 +204,9 @@ fault::Metrics run_poison_crash(std::uint64_t seed, Scale /*scale*/) {
 // Diagnostic: pumps scheduler events until something stops it — under the
 // server's RunGuard that is the sim-event budget (kBudgetExhausted);
 // standalone, the 30 s sim horizon bounds it.
-fault::Metrics run_busy_loop(std::uint64_t /*seed*/, Scale /*scale*/) {
-  core::Scheduler sim;
+fault::Metrics run_busy_loop(fault::SimContext& ctx, std::uint64_t /*seed*/,
+                             Scale /*scale*/) {
+  core::Scheduler& sim = ctx.sim();
   fault::supervise(sim);
   std::function<void()> spin = [&] { sim.schedule_in(core::microseconds(1), spin); };
   sim.schedule_at(0, spin);
@@ -262,17 +245,12 @@ std::vector<std::string> ScenarioRegistry::names() const {
 
 ScenarioRegistry ScenarioRegistry::builtin() {
   ScenarioRegistry r;
-  Scenario ivn{"ivn-can", "CAN segment under randomized node faults",
-               run_ivn_can,
-               /*cost_hint_ms_per_seed=*/2.0, /*default_max_events=*/5'000'000};
-  ivn.run_ctx = run_ivn_can_ctx;
-  r.add(std::move(ivn));
+  r.add({"ivn-can", "CAN segment under randomized node faults", run_ivn_can,
+         /*cost_hint_ms_per_seed=*/2.0, /*default_max_events=*/5'000'000});
   r.add({"secure-uplink", "robust TLS session over a partitioning link",
          run_secure_uplink, 2.0, 5'000'000});
-  Scenario hb{"heartbeat-net", "multi-source liveness with an outage window",
-              run_heartbeat_net, 1.0, 5'000'000};
-  hb.run_ctx = run_heartbeat_net_ctx;
-  r.add(std::move(hb));
+  r.add({"heartbeat-net", "multi-source liveness with an outage window",
+         run_heartbeat_net, 1.0, 5'000'000});
   r.add({"poison-crash", "diagnostic: crashes every attempt",
          run_poison_crash, 0.1, 1'000'000});
   r.add({"busy-loop", "diagnostic: pumps events until the budget trips",

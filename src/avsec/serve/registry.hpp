@@ -1,10 +1,11 @@
 // Scenario registry: the serving layer's name -> simulation mapping.
 //
-// A Scenario wraps a self-contained world-building function — the same
-// shape fault::Campaign sweeps — plus the static metadata admission
-// control needs: a per-seed cost floor (so a deadline below it is
-// rejected deterministically, before any load estimate enters the
-// picture) and a default sim-event budget for the RunGuard.
+// A Scenario wraps a world-building function of the shape fault::Campaign
+// sweeps — it runs on the worker's pooled fault::SimContext, with a Scale
+// added — plus the static metadata admission control needs: a per-seed
+// cost floor (so a deadline below it is rejected deterministically,
+// before any load estimate enters the picture) and a default sim-event
+// budget for the RunGuard.
 //
 // Every scenario takes a Scale: kFull is the real workload, kSmoke is the
 // reduced-horizon variant the load-shedding ladder degrades to under
@@ -34,10 +35,13 @@ const char* scale_name(Scale s);
 struct Scenario {
   std::string name;
   std::string description;
-  /// Builds a fresh world, runs it, returns named metrics. Must be safe to
-  /// call concurrently (no shared mutable state) and should call
+  /// Builds the world on ctx.sim() (the worker's warm context, freshly
+  /// reset before every attempt), runs it, returns named metrics. Must be
+  /// safe to call concurrently (no shared mutable state) and should call
   /// fault::supervise(sim) so the server's RunGuard budgets attach.
-  std::function<fault::Metrics(std::uint64_t seed, Scale scale)> run;
+  std::function<fault::Metrics(fault::SimContext& ctx, std::uint64_t seed,
+                               Scale scale)>
+      run_ctx;
   /// Static per-seed wall-cost floor, milliseconds. Admission rejects a
   /// request whose deadline is below `cost_hint_ms_per_seed * seeds` as
   /// kInfeasible — a pure function of the request, so the decision is
@@ -45,16 +49,6 @@ struct Scenario {
   double cost_hint_ms_per_seed = 1.0;
   /// Default RunGuard sim-event budget per attempt (0 = unlimited).
   std::uint64_t default_max_events = 20'000'000;
-  /// Optional context-aware variant. When set, the server prefers it and
-  /// passes the worker's warm fault::SimContext (freshly reset): use
-  /// ctx.sim() instead of constructing a Scheduler, ctx.fixture<T>() for
-  /// per-worker topology. Must return metrics byte-identical to run()'s
-  /// for every (seed, scale) — the 1-vs-N-worker reply identity gate in
-  /// CI holds the server to that. Declared last so positional aggregate
-  /// initialization of the older fields stays valid.
-  std::function<fault::Metrics(fault::SimContext& ctx, std::uint64_t seed,
-                               Scale scale)>
-      run_ctx;
 };
 
 /// Ordered name -> Scenario map. Immutable once handed to a Server.

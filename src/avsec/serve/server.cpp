@@ -273,17 +273,13 @@ void Server::run_seed(WorkerSlot& slot, const Job& job,
   sup.max_events = job.max_events;
   sup.wall_deadline_ms = remaining_ms > 0 ? remaining_ms : 0;
   const int max_attempts = std::max(sup.retry.max_retries, 0) + 1;
-  // Scenarios with a context-aware entry point run on the slot's warm
-  // arena-backed scheduler; either way, trace capture reuses the slot
-  // recorder (reset below) instead of constructing a ~1 MiB ring per
-  // traced seed.
+  // Every attempt runs on the slot's warm context, reset first: the
+  // arena-backed scheduler, and for traced seeds the slot recorder instead
+  // of a ~1 MiB ring per seed.
   fault::SimContext& ctx = slot.ctx;
   const auto run_once = [&] {
     ctx.reset();
-    if (job.scenario->run_ctx != nullptr) {
-      return job.scenario->run_ctx(ctx, out.seed, job.scale);
-    }
-    return job.scenario->run(out.seed, job.scale);
+    return job.scenario->run_ctx(ctx, out.seed, job.scale);
   };
   for (int attempt = 0;; ++attempt) {
     try {

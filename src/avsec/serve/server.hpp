@@ -172,10 +172,10 @@ class Server {
     /// Set by the supervisor when the watchdog expires: the worker exits
     /// after its current job instead of popping more work.
     std::atomic<bool> abandoned{false};
-    /// Warm per-worker simulation context: context-aware scenarios run on
-    /// its arena-backed scheduler, and trace capture reuses its recorder
+    /// Warm per-worker simulation context: every seed runs on its
+    /// arena-backed scheduler, and trace capture reuses its recorder
     /// (ring + intern table) instead of allocating one per traced seed.
-    /// Reset before every seed; confined to this slot's thread. A
+    /// Reset before every attempt; confined to this slot's thread. A
     /// replacement worker gets a fresh slot and a fresh context, so an
     /// abandoned (possibly wedged) run never shares it.
     fault::SimContext ctx;

@@ -1,13 +1,17 @@
-// Pooled per-worker SimContexts: a context-aware sweep (warm arena-backed
-// scheduler, persistent trace recorder, reset between seeds) must produce
-// a CampaignReport byte-identical to the fresh-world sweep — at any worker
-// count, under supervision, with trace capture on, and across resume.
+// Pooled per-worker SimContexts: a sweep on the pooled contexts (warm
+// arena-backed scheduler, persistent trace recorder, reset before every
+// attempt) must produce a CampaignReport byte-identical to the fresh-world
+// reference — a scenario that ignores its context and builds a new heap
+// Scheduler per run — at any worker count, under supervision, with trace
+// capture on, and across resume.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <fstream>
 #include <functional>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -67,12 +71,14 @@ Metrics run_workload(core::Scheduler& sim, std::uint64_t seed) {
   return m;
 }
 
-Metrics scenario_plain(std::uint64_t seed) {
+// The fresh-world reference: ignores the pooled context and builds a new
+// global-heap Scheduler per run.
+Metrics scenario_plain(SimContext& /*ctx*/, std::uint64_t seed) {
   core::Scheduler sim;
   return run_workload(sim, seed);
 }
 
-Metrics scenario_ctx(SimContext& ctx, std::uint64_t seed) {
+Metrics scenario_pooled(SimContext& ctx, std::uint64_t seed) {
   return run_workload(ctx.sim(), seed);
 }
 
@@ -96,39 +102,17 @@ CampaignConfig base_config(std::size_t runs, std::size_t workers) {
 TEST(CampaignContext, PooledSweepMatchesFreshSweepAtAnyWorkerCount) {
   const auto fresh = make_campaign(base_config(24, 1)).sweep(scenario_plain);
   for (std::size_t workers : {1u, 2u, 8u}) {
-    const auto pooled = make_campaign(base_config(24, workers))
-                            .sweep(Campaign::CtxRunFn(scenario_ctx));
+    const auto pooled =
+        make_campaign(base_config(24, workers)).sweep(scenario_pooled);
     EXPECT_TRUE(identical(fresh, pooled)) << workers << " workers";
-  }
-}
-
-TEST(CampaignContext, ReuseContextsKnobKeepsPlainSweepIdentical) {
-  const auto cold = make_campaign(base_config(16, 2)).sweep(scenario_plain);
-  for (std::size_t workers : {1u, 2u, 8u}) {
-    CampaignConfig cfg = base_config(16, workers);
-    cfg.reuse_contexts = true;
-    const auto warm = make_campaign(cfg).sweep(scenario_plain);
-    EXPECT_TRUE(identical(cold, warm)) << workers << " workers";
-  }
-}
-
-TEST(CampaignContext, ChunkSizeNeverChangesReportBytes) {
-  const auto reference =
-      make_campaign(base_config(30, 1)).sweep(Campaign::CtxRunFn(scenario_ctx));
-  for (std::size_t chunk : {1u, 3u, 7u, 64u}) {
-    CampaignConfig cfg = base_config(30, 4);
-    cfg.chunk = chunk;
-    const auto chunked =
-        make_campaign(cfg).sweep(Campaign::CtxRunFn(scenario_ctx));
-    EXPECT_TRUE(identical(reference, chunked)) << "chunk " << chunk;
   }
 }
 
 TEST(CampaignContext, SupervisedTracedPooledSweepIsByteIdentical) {
   // The full stack at once: supervision (RunGuard + retry bookkeeping),
-  // kAllRuns trace capture (pooled runs reuse the context's recorder,
-  // fresh runs get a local one), and context pooling. Every combination
-  // must emit the same report bytes, traces included.
+  // kAllRuns trace capture (every run records into its worker context's
+  // recorder, emptied by the reset), and fresh vs pooled schedulers. Every
+  // combination must emit the same report bytes, traces included.
   CampaignConfig cfg = base_config(12, 1);
   cfg.supervision.enabled = true;
   cfg.trace = TraceCapture::kAllRuns;
@@ -140,8 +124,7 @@ TEST(CampaignContext, SupervisedTracedPooledSweepIsByteIdentical) {
   for (std::size_t workers : {1u, 2u, 8u}) {
     CampaignConfig pooled_cfg = cfg;
     pooled_cfg.workers = workers;
-    const auto pooled =
-        make_campaign(pooled_cfg).sweep(Campaign::CtxRunFn(scenario_ctx));
+    const auto pooled = make_campaign(pooled_cfg).sweep(scenario_pooled);
     EXPECT_TRUE(identical(fresh, pooled)) << workers << " workers";
     ASSERT_EQ(pooled.outcomes.size(), fresh.outcomes.size());
     for (std::size_t i = 0; i < fresh.outcomes.size(); ++i) {
@@ -156,21 +139,21 @@ TEST(CampaignContext, CrashingRunsQuarantineIdenticallyWhenPooled) {
   cfg.supervision.enabled = true;
   cfg.supervision.retry.max_retries = 1;
   cfg.supervision.retry.initial_timeout = 0;
-  const auto crashy_plain = [](std::uint64_t seed) -> Metrics {
+  const auto crashy_plain = [](SimContext& ctx, std::uint64_t seed) -> Metrics {
     if (seed % 4 == 0) throw std::runtime_error("flaky environment");
-    return scenario_plain(seed);
+    return scenario_plain(ctx, seed);
   };
-  const auto crashy_ctx = [](SimContext& ctx, std::uint64_t seed) -> Metrics {
+  const auto crashy_pooled = [](SimContext& ctx,
+                                 std::uint64_t seed) -> Metrics {
     if (seed % 4 == 0) throw std::runtime_error("flaky environment");
-    return scenario_ctx(ctx, seed);
+    return scenario_pooled(ctx, seed);
   };
-  const auto fresh = make_campaign(cfg).sweep(Campaign::RunFn(crashy_plain));
+  const auto fresh = make_campaign(cfg).sweep(crashy_plain);
   ASSERT_GT(fresh.quarantined_runs, 0u);
   for (std::size_t workers : {1u, 2u, 8u}) {
     CampaignConfig pooled_cfg = cfg;
     pooled_cfg.workers = workers;
-    const auto pooled =
-        make_campaign(pooled_cfg).sweep(Campaign::CtxRunFn(crashy_ctx));
+    const auto pooled = make_campaign(pooled_cfg).sweep(crashy_pooled);
     EXPECT_TRUE(identical(fresh, pooled)) << workers << " workers";
   }
 }
@@ -178,16 +161,16 @@ TEST(CampaignContext, CrashingRunsQuarantineIdenticallyWhenPooled) {
 TEST(CampaignContext, ResumeAfterTruncationMatchesUninterruptedSweep) {
   CampaignConfig cfg = base_config(10, 1);
   cfg.trace = TraceCapture::kAllRuns;
-  const auto reference =
-      make_campaign(cfg).sweep(Campaign::CtxRunFn(scenario_ctx));
+  const auto reference = make_campaign(cfg).sweep(scenario_plain);
 
   // Journal a full pooled sweep, then truncate the manifest at several
-  // offsets (a process killed mid-sweep) and resume with the CtxRunFn at
-  // 1, 2 and 8 workers.
+  // offsets (a process killed mid-sweep) and resume on pooled contexts at
+  // 1, 2 and 8 workers: every resumed report must equal the fresh-world
+  // sweep.
   const std::string full_path = temp_path("ctx_full.jsonl");
   CampaignConfig journal_cfg = cfg;
   journal_cfg.manifest_path = full_path;
-  make_campaign(journal_cfg).sweep(Campaign::CtxRunFn(scenario_ctx));
+  make_campaign(journal_cfg).sweep(scenario_pooled);
   const std::string full = read_file(full_path);
   ASSERT_GT(full.size(), 100u);
 
@@ -202,55 +185,55 @@ TEST(CampaignContext, ResumeAfterTruncationMatchesUninterruptedSweep) {
     resume_cfg.workers = workers;
     ResumeStats stats;
     const auto resumed =
-        make_campaign(resume_cfg)
-            .resume(Campaign::CtxRunFn(scenario_ctx), cut_path, &stats);
+        make_campaign(resume_cfg).resume(scenario_pooled, cut_path, &stats);
     EXPECT_TRUE(identical(reference, resumed))
         << "cut at byte " << cut << ", " << workers << " workers";
     EXPECT_EQ(stats.loaded + stats.reran, 10u) << "cut at byte " << cut;
   }
 }
 
-TEST(CampaignContext, FixturePersistsAcrossRunsAndResetsAreCounted) {
-  // Serial pooled sweep: one context serves every run, so a fixture is
-  // built exactly once and the reset counter sees every run.
-  std::atomic<int> built{0};
-  std::atomic<std::uint64_t> max_resets{0};
-  Campaign c(base_config(8, 1));
-  c.sweep(Campaign::CtxRunFn([&](SimContext& ctx, std::uint64_t seed) {
-    int& fixture = ctx.fixture<int>([&] {
-      built.fetch_add(1);
-      return 7;
-    });
-    EXPECT_EQ(fixture, 7);
-    std::uint64_t seen = max_resets.load();
-    while (ctx.resets() > seen &&
-           !max_resets.compare_exchange_weak(seen, ctx.resets())) {
-    }
+TEST(CampaignContext, EveryAttemptStartsFromAResetContext) {
+  // Each attempt leaves its scheduler dirty — clock advanced, events
+  // dispatched, one event still pending, as compiled T1S runs leave their
+  // beacon cycle — and each seed's first attempt throws. The retry, and
+  // every later seed on the same worker, must still find the context
+  // exactly as freshly built.
+  std::mutex mu;
+  std::set<std::uint64_t> thrown;
+  std::atomic<int> attempts{0};
+  std::atomic<int> dirty{0};
+  const auto leaves_work = [&](SimContext& ctx, std::uint64_t seed) -> Metrics {
     core::Scheduler& sim = ctx.sim();
-    sim.schedule_at(1, [] {});
-    sim.run();
+    attempts.fetch_add(1);
+    if (sim.now() != 0 || sim.pending() != 0 || sim.dispatched() != 0 ||
+        ctx.recorder().size() != 0) {
+      dirty.fetch_add(1);
+    }
+    AVSEC_TRACE_INSTANT(obs::Category::kFault, "attempt", 0, 0, 0);
+    sim.schedule_at(core::microseconds(5), [] {});
+    sim.schedule_at(core::microseconds(10), [] {});
+    sim.run_until(core::microseconds(7));
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (thrown.insert(seed).second) throw std::runtime_error("first try");
+    }
     return Metrics{{"seed_low", static_cast<double>(seed & 0xff)}};
-  }));
-  EXPECT_EQ(built.load(), 1);
-  // reset() runs before every attempt: 8 runs -> at least 8 resets seen.
-  EXPECT_GE(max_resets.load(), 8u);
-}
-
-TEST(CampaignContext, FixtureIsTypeCheckedAndClearable) {
-  SimContext ctx;
-  int& a = ctx.fixture<int>([] { return 1; });
-  EXPECT_EQ(a, 1);
-  EXPECT_TRUE(ctx.has_fixture());
-  // Requesting a different type rebuilds the slot.
-  double& b = ctx.fixture<double>([] { return 2.5; });
-  EXPECT_EQ(b, 2.5);
-  // Same type again: cached, the maker must not run.
-  ctx.fixture<double>([]() -> double {
-    ADD_FAILURE() << "fixture must be cached";
-    return 0.0;
-  });
-  ctx.clear_fixture();
-  EXPECT_FALSE(ctx.has_fixture());
+  };
+  for (std::size_t workers : {1u, 2u}) {
+    thrown.clear();
+    attempts.store(0);
+    dirty.store(0);
+    CampaignConfig cfg = base_config(8, workers);
+    cfg.trace = TraceCapture::kAllRuns;
+    cfg.supervision.enabled = true;
+    cfg.supervision.retry.max_retries = 1;
+    cfg.supervision.retry.initial_timeout = 0;
+    const auto report = Campaign(cfg).sweep(leaves_work);
+    EXPECT_EQ(attempts.load(), 16) << workers << " workers";
+    EXPECT_EQ(dirty.load(), 0) << workers << " workers";
+    EXPECT_TRUE(report.all_passed()) << workers << " workers";
+    EXPECT_EQ(report.runs_retried, 8u) << workers << " workers";
+  }
 }
 
 TEST(CampaignContext, ResetRestoresAFreshSimulation) {

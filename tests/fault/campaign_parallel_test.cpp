@@ -14,11 +14,12 @@
 namespace avsec::fault {
 namespace {
 
-// A cheap but non-trivial scenario: each run owns a scheduler and an RNG
-// stream, produces metrics that depend on the seed, and occasionally
-// violates an invariant — exercising every field of the report.
-Metrics mini_scenario(std::uint64_t seed) {
-  core::Scheduler sim;
+// A cheap but non-trivial scenario: each run owns its worker's scheduler
+// and an RNG stream, produces metrics that depend on the seed, and
+// occasionally violates an invariant — exercising every field of the
+// report.
+Metrics mini_scenario(SimContext& ctx, std::uint64_t seed) {
+  core::Scheduler& sim = ctx.sim();
   core::Rng rng(seed);
   double level = 0.0;
   int spikes = 0;
@@ -89,7 +90,7 @@ TEST(CampaignParallel, SeedsMatchSeedForRunUnderAnyWorkerCount) {
 
 TEST(CampaignParallel, RunExceptionPropagates) {
   Campaign c({16, /*base_seed=*/5, /*workers=*/4});
-  EXPECT_THROW(c.sweep([](std::uint64_t seed) -> Metrics {
+  EXPECT_THROW(c.sweep([](SimContext&, std::uint64_t seed) -> Metrics {
     if (seed % 3 == 0) throw std::runtime_error("scenario exploded");
     return {{"ok", 1.0}};
   }),
@@ -100,9 +101,9 @@ TEST(CampaignParallel, ScenariosActuallyRunConcurrentSafe) {
   // Each run touches only its own world; a shared atomic counts them.
   std::atomic<int> calls{0};
   Campaign c({20, /*base_seed=*/9, /*workers=*/8});
-  const auto report = c.sweep([&](std::uint64_t seed) {
+  const auto report = c.sweep([&](SimContext& ctx, std::uint64_t seed) {
     calls.fetch_add(1);
-    return mini_scenario(seed);
+    return mini_scenario(ctx, seed);
   });
   EXPECT_EQ(calls.load(), 20);
   EXPECT_EQ(report.runs, 20u);

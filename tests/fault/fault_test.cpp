@@ -191,7 +191,7 @@ TEST(Campaign, InvariantsEvaluatedPerSeededRun) {
                    [](const Metrics& m) { return m.at("delivered") != 10.0; });
 
   std::vector<std::uint64_t> seeds_seen;
-  const auto report = campaign.sweep([&](std::uint64_t seed) {
+  const auto report = campaign.sweep([&](SimContext&, std::uint64_t seed) {
     seeds_seen.push_back(seed);
     Metrics m;
     m["delivered"] = seeds_seen.size() == 3 ? 10.0 : 2.0;  // 3rd run "fails"

@@ -33,7 +33,7 @@ void write_file(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-Metrics tiny_scenario(std::uint64_t seed) {
+Metrics tiny_scenario(SimContext& /*ctx*/, std::uint64_t seed) {
   Metrics m;
   m["seed_mod"] = static_cast<double>(seed % 7);
   return m;

@@ -41,8 +41,8 @@ void write_file(const std::string& path, const std::string& bytes) {
 
 // Seed-deterministic scenario with seed-dependent metrics, occasional
 // violations, and (under supervision) occasional crashes.
-Metrics scenario(std::uint64_t seed) {
-  core::Scheduler sim;
+Metrics scenario(SimContext& ctx, std::uint64_t seed) {
+  core::Scheduler& sim = ctx.sim();
   supervise(sim);
   core::Rng rng(seed);
   double level = 0.0;
@@ -182,7 +182,7 @@ TEST(Manifest, CompleteManifestResumesWithoutReexecuting) {
 
   ResumeStats stats;
   const auto resumed = make_campaign(base_config(6, 2))
-                           .resume([](std::uint64_t) -> Metrics {
+                           .resume([](SimContext&, std::uint64_t) -> Metrics {
                              ADD_FAILURE() << "no run should re-execute";
                              return {};
                            },
@@ -275,9 +275,10 @@ TEST(Manifest, QuarantinedRunsAreReexecutedOnResume) {
   cfg.supervision.enabled = true;
   cfg.supervision.retry.max_retries = 0;
   cfg.supervision.retry.initial_timeout = 0;
-  const auto crashy = make_campaign(cfg).sweep([](std::uint64_t seed) {
+  const auto crashy = make_campaign(cfg).sweep([](SimContext& ctx,
+                                                   std::uint64_t seed) {
     if (seed % 3 == 0) throw std::runtime_error("flaky environment");
-    return scenario(seed);
+    return scenario(ctx, seed);
   });
   ASSERT_GT(crashy.quarantined_runs, 0u);
 
@@ -334,7 +335,7 @@ TEST(Manifest, TraceCaptureRoundTripsThroughResume) {
   CampaignConfig resume_cfg = cfg;  // same trace policy, no journaling
   ResumeStats stats;
   const auto resumed = make_campaign(resume_cfg)
-                           .resume([](std::uint64_t) -> Metrics {
+                           .resume([](SimContext&, std::uint64_t) -> Metrics {
                              ADD_FAILURE() << "all runs were complete";
                              return {};
                            },

@@ -25,8 +25,8 @@ namespace {
 constexpr std::uint64_t kCrashMod = 5;
 constexpr std::uint64_t kRunawayMod = 7;
 
-Metrics hazardous_scenario(std::uint64_t seed) {
-  core::Scheduler sim;
+Metrics hazardous_scenario(SimContext& ctx, std::uint64_t seed) {
+  core::Scheduler& sim = ctx.sim();
   supervise(sim);
   if (seed % kCrashMod == 0) {
     throw std::runtime_error("seed " + std::to_string(seed) + " exploded");
@@ -118,7 +118,7 @@ TEST(Resilience, TransientFailureRecoversOnRetry) {
   std::map<std::uint64_t, int> tries;
   CampaignConfig cfg = supervised_config(6, 1);
   Campaign c(cfg);
-  const auto report = c.sweep([&](std::uint64_t seed) -> Metrics {
+  const auto report = c.sweep([&](SimContext&, std::uint64_t seed) -> Metrics {
     {
       std::lock_guard<std::mutex> lock(mu);
       if (++tries[seed] == 1) throw std::runtime_error("transient");
@@ -141,8 +141,8 @@ TEST(Resilience, WallDeadlineAbortsWedgedRun) {
   cfg.supervision.wall_deadline_ms = 25;
   cfg.supervision.retry.max_retries = 0;
   Campaign c(cfg);
-  const auto report = c.sweep([](std::uint64_t) -> Metrics {
-    core::Scheduler sim;
+  const auto report = c.sweep([](SimContext& ctx, std::uint64_t) -> Metrics {
+    core::Scheduler& sim = ctx.sim();
     supervise(sim);
     std::function<void()> forever = [&] {
       sim.schedule_in(core::microseconds(1), forever);
@@ -164,7 +164,7 @@ TEST(Resilience, UnsupervisedSweepStillPropagates) {
   cfg.base_seed = 3;
   cfg.workers = 2;
   Campaign c(cfg);
-  EXPECT_THROW(c.sweep([](std::uint64_t seed) -> Metrics {
+  EXPECT_THROW(c.sweep([](SimContext&, std::uint64_t seed) -> Metrics {
     if (seed % 2 == 0) throw std::runtime_error("boom");
     return {{"ok", 1.0}};
   }),

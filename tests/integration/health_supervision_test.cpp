@@ -29,8 +29,8 @@ constexpr core::SimTime kRunEnd = core::seconds(2);
 // One replicated-sensor world per seed: three replicas publish a ground-
 // truth signal; a seeded chaos schedule makes one replica lie or go mute
 // per fault window (single-fault-at-a-time, which is what 2oo3 masks).
-fault::Metrics run_scenario(std::uint64_t seed) {
-  core::Scheduler sim;
+fault::Metrics run_scenario(fault::SimContext& ctx, std::uint64_t seed) {
+  core::Scheduler& sim = ctx.sim();
   core::Rng rng(seed);
 
   health::VoterConfig vcfg;
@@ -224,8 +224,9 @@ TEST(HealthSupervisionAcceptance, CampaignInvariantsHoldAcross24Seeds) {
                  return m.at("byz_excess") <= 0.0;
                });
 
-  const auto report = campaign.sweep([](std::uint64_t seed) {
-    fault::Metrics m = run_scenario(seed);
+  const auto report = campaign.sweep([](fault::SimContext& ctx,
+                                       std::uint64_t seed) {
+    fault::Metrics m = run_scenario(ctx, seed);
     m["byz_excess"] = byzantine_fusion_excess(seed);
     return m;
   });

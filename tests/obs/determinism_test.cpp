@@ -20,8 +20,8 @@ namespace {
 // traffic generator. Every layer touched here is instrumented, so the
 // ambient recorder (installed by the campaign) fills with scheduler,
 // arbitration, and error-confinement events.
-Metrics ivn_scenario(std::uint64_t seed) {
-  core::Scheduler sim;
+Metrics ivn_scenario(SimContext& ctx, std::uint64_t seed) {
+  core::Scheduler& sim = ctx.sim();
   avsec::obs::SchedulerTracer tracer(sim, /*stride=*/64);
   netsim::CanBusConfig cfg;
   cfg.name = "can0";
@@ -69,8 +69,9 @@ TEST(TraceDeterminism, SameSeedSameBytesStandalone) {
   const auto run_once = [] {
     avsec::obs::TraceRecorder rec(1 << 12);
     {
+      SimContext ctx;
       avsec::obs::TraceScope scope(rec);
-      ivn_scenario(99);
+      ivn_scenario(ctx, 99);
     }
     return avsec::obs::text_dump(rec);
   };
@@ -136,8 +137,9 @@ TEST(TraceDeterminism, CapturedTraceMatchesStandaloneReplay) {
   const RunOutcome& o = report.outcomes.front();
   avsec::obs::TraceRecorder rec(avsec::obs::TraceRecorder::kDefaultCapacity);
   {
+    SimContext ctx;
     avsec::obs::TraceScope scope(rec);
-    ivn_scenario(o.seed);
+    ivn_scenario(ctx, o.seed);
   }
   EXPECT_EQ(avsec::obs::text_dump(rec), o.trace);
 }

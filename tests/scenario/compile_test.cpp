@@ -188,7 +188,8 @@ TEST(ScenarioCompile, ServeEntryRunsStandalone) {
   ASSERT_TRUE(r.ok);
   const serve::Scenario s = r.compiled.serve_entry();
   EXPECT_EQ(s.name, "srv");
-  const fault::Metrics m = s.run(3, serve::Scale::kFull);
+  fault::SimContext ctx;
+  const fault::Metrics m = s.run_ctx(ctx, 3, serve::Scale::kFull);
   EXPECT_GE(m.at("beats_sent"), 1.0);
 }
 

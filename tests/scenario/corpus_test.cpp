@@ -80,7 +80,7 @@ TEST(ScenarioCorpus, EveryScenarioPassesOraclesAtAnyWorkerCount) {
   for (const CorpusEntry& e : corpus().entries) {
     const CompiledScenario& s = e.compiled;
     auto run = [&s](fault::SimContext& ctx, std::uint64_t seed) {
-      return s.run_ctx(ctx, seed);
+      return s.run(ctx.sim(), seed);
     };
     const fault::CampaignReport r1 = s.campaign(1).sweep(run);
     const fault::CampaignReport r2 = s.campaign(2).sweep(run);
@@ -106,7 +106,8 @@ TEST(ScenarioCorpus, RegistersIntoServeRegistryByName) {
   EXPECT_GE(names.size(), 50u);
   const serve::Scenario* s = registry.find("heartbeat-hard-mute");
   ASSERT_NE(s, nullptr);
-  const fault::Metrics m = s->run(7, serve::Scale::kSmoke);
+  fault::SimContext ctx;
+  const fault::Metrics m = s->run_ctx(ctx, 7, serve::Scale::kSmoke);
   EXPECT_GE(m.at("beats_sent"), 1.0);
 }
 

@@ -8,12 +8,15 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "avsec/core/scheduler.hpp"
+#include "avsec/obs/trace.hpp"
 #include "avsec/serve/request.hpp"
 
 namespace {
@@ -37,7 +40,7 @@ Scenario sleeper_scenario(const std::string& name, int sleep_ms) {
   Scenario s;
   s.name = name;
   s.description = "test: holds a worker for a fixed wall time";
-  s.run = [sleep_ms](std::uint64_t, Scale) {
+  s.run_ctx = [sleep_ms](fault::SimContext&, std::uint64_t, Scale) {
     std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
     fault::Metrics m;
     m["slept"] = 1.0;
@@ -124,7 +127,7 @@ TEST(ServerExecution, FlakyRunRetriesThenSucceeds) {
   Scenario flaky;
   flaky.name = "flaky";
   flaky.description = "fails its first attempt only";
-  flaky.run = [calls](std::uint64_t, Scale) {
+  flaky.run_ctx = [calls](fault::SimContext&, std::uint64_t, Scale) {
     if (calls->fetch_add(1) == 0) {
       throw std::runtime_error("transient failure");
     }
@@ -154,8 +157,8 @@ TEST(ServerExecution, MidRunWallDeadlineChainsOntoRunGuard) {
   Scenario crawler;
   crawler.name = "crawler";
   crawler.description = "events that burn wall time";
-  crawler.run = [](std::uint64_t, Scale) {
-    core::Scheduler sim;
+  crawler.run_ctx = [](fault::SimContext& ctx, std::uint64_t, Scale) {
+    core::Scheduler& sim = ctx.sim();
     fault::supervise(sim);
     std::function<void()> step = [&] {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -179,6 +182,67 @@ TEST(ServerExecution, MidRunWallDeadlineChainsOntoRunGuard) {
   EXPECT_EQ(r.status, ReplyStatus::kQuarantined);
   ASSERT_EQ(r.seeds.size(), 1u);
   EXPECT_EQ(r.seeds[0].status, fault::RunStatus::kTimedOut);
+}
+
+TEST(ServerExecution, EverySeedAndRetryStartsFromAResetContext) {
+  // Each attempt leaves the slot's scheduler dirty — clock advanced,
+  // events dispatched, one event still pending — and each seed's first
+  // attempt throws. The retry and every later seed on the slot must still
+  // find the context exactly as freshly built, traced or not.
+  auto mu = std::make_shared<std::mutex>();
+  auto thrown = std::make_shared<std::set<std::uint64_t>>();
+  auto dirty = std::make_shared<std::atomic<int>>(0);
+  auto attempts = std::make_shared<std::atomic<int>>(0);
+  Scenario messy;
+  messy.name = "messy";
+  messy.description = "leaves work pending and fails its first attempt";
+  messy.run_ctx = [=](fault::SimContext& ctx, std::uint64_t seed, Scale) {
+    core::Scheduler& sim = ctx.sim();
+    attempts->fetch_add(1);
+    if (sim.now() != 0 || sim.pending() != 0 || sim.dispatched() != 0 ||
+        ctx.recorder().size() != 0) {
+      dirty->fetch_add(1);
+    }
+    AVSEC_TRACE_INSTANT(avsec::obs::Category::kFault, "attempt", 0, 0, 0);
+    sim.schedule_at(core::microseconds(5), [] {});
+    sim.schedule_at(core::microseconds(10), [] {});
+    sim.run_until(core::microseconds(7));
+    {
+      const std::lock_guard<std::mutex> lock(*mu);
+      if (thrown->insert(seed).second) {
+        throw std::runtime_error("first try");
+      }
+    }
+    return fault::Metrics{{"ok", 1.0}};
+  };
+  messy.cost_hint_ms_per_seed = 0.0;
+  messy.default_max_events = 0;
+
+  for (const std::size_t workers : {1u, 2u}) {
+    thrown->clear();
+    dirty->store(0);
+    attempts->store(0);
+    ScenarioRegistry reg;
+    reg.add(messy);
+    ServerConfig config = quiet_config();
+    config.workers = workers;
+    config.supervision.retry.initial_timeout = 0;
+    Server server(std::move(reg), config);
+    ServeClient client(server);
+    Request traced;
+    traced.scenario = "messy";
+    traced.seeds = {4, 5};
+    traced.trace = true;
+    std::vector<Request> batch;
+    batch.push_back({"messy", {1, 2, 3}});
+    batch.push_back(std::move(traced));
+    for (const Reply& r : client.call_batch(std::move(batch))) {
+      EXPECT_EQ(r.status, ReplyStatus::kOk) << workers << " workers";
+      for (const auto& seed : r.seeds) EXPECT_EQ(seed.attempts, 2u);
+    }
+    EXPECT_EQ(attempts->load(), 10) << workers << " workers";
+    EXPECT_EQ(dirty->load(), 0) << workers << " workers";
+  }
 }
 
 TEST(ServerDeterminism, RenderedRepliesAreByteIdenticalAcrossWorkerCounts) {

@@ -18,7 +18,7 @@ Scenario sleeper_scenario(const std::string& name, int sleep_ms) {
   Scenario s;
   s.name = name;
   s.description = "test: holds a worker for a fixed wall time";
-  s.run = [sleep_ms](std::uint64_t, Scale) {
+  s.run_ctx = [sleep_ms](fault::SimContext&, std::uint64_t, Scale) {
     std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
     fault::Metrics m;
     m["slept"] = 1.0;
