@@ -12,17 +12,10 @@
 // Every run is derived from one base seed; a failing seed replays
 // bit-identically.
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
-#include "avsec/core/table.hpp"
-#include "avsec/core/thread_pool.hpp"
-#include "avsec/fault/campaign.hpp"
+#include "avsec/fault/cli.hpp"
 #include "avsec/fault/fault.hpp"
 #include "avsec/ids/response.hpp"
-#include "avsec/obs/obs.hpp"
 #include "avsec/secproto/session.hpp"
 
 using namespace avsec;
@@ -154,180 +147,33 @@ fault::Metrics run_scenario(fault::SimContext& ctx, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("avsec fault campaign: attacks and faults, co-simulated\n");
-  std::printf("======================================================\n\n");
-
-  std::size_t workers = core::ThreadPool::default_workers();
-  const char* trace_path = nullptr;  // --trace <file.json>: Perfetto export
-  bool trace_failing = false;        // --trace-failing: capture failing runs
-  const char* manifest_path = nullptr;  // --manifest <f>: journal the sweep
-  const char* resume_path = nullptr;    // --resume <f>: resume from journal
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (workers == 0) workers = core::ThreadPool::default_workers();
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace-failing") == 0) {
-      trace_failing = true;
-    } else if (std::strcmp(argv[i], "--manifest") == 0 && i + 1 < argc) {
-      manifest_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--resume") == 0 && i + 1 < argc) {
-      resume_path = argv[++i];
-    }
-  }
-
-  auto make_campaign = [&](std::size_t w, const char* manifest) {
-    fault::CampaignConfig cfg;
-    cfg.runs = 20;
-    cfg.base_seed = 2026;
-    cfg.workers = w;
-    if (trace_failing) cfg.trace = fault::TraceCapture::kFailingRuns;
-    // Supervision on: a crashing or runaway seed becomes a quarantined
-    // outcome instead of taking the whole sweep down. The event budget is
-    // far above any legitimate run; the wall deadline stays off so the
-    // report is a pure function of the seeds.
-    cfg.supervision.enabled = true;
-    cfg.supervision.max_events = 50'000'000;
-    cfg.supervision.retry.max_retries = 1;
-    if (manifest != nullptr) cfg.manifest_path = manifest;
-    fault::Campaign campaign(cfg);
-    campaign
-        .require("feed recovers by end of run",
-                 [](const fault::Metrics& m) {
-                   return m.at("feed_ok_at_end") == 1.0;
-                 })
-        .require("limp-home not stuck at end",
-                 [](const fault::Metrics& m) {
-                   return m.at("limp_home_at_end") == 0.0;
-                 })
-        .require("uplink session up at end",
-                 [](const fault::Metrics& m) {
-                   return m.at("session_up_at_end") == 1.0;
-                 })
-        .require("feed never silent > 1s",
-                 [](const fault::Metrics& m) {
-                   return m.at("worst_feed_gap_ms") <= 1000.0;
-                 });
-    return campaign;
+  fault::cli::CampaignMain campaign;
+  campaign.title = "avsec fault campaign: attacks and faults, co-simulated";
+  campaign.config.runs = 20;
+  campaign.config.base_seed = 2026;
+  // Supervision on: a crashing or runaway seed becomes a quarantined
+  // outcome instead of taking the whole sweep down. The event budget is
+  // far above any legitimate run; the wall deadline stays off so the
+  // report is a pure function of the seeds.
+  campaign.config.supervision.enabled = true;
+  campaign.config.supervision.max_events = 50'000'000;
+  campaign.config.supervision.retry.max_retries = 1;
+  campaign.invariants = {
+      {"feed recovers by end of run",
+       [](const fault::Metrics& m) { return m.at("feed_ok_at_end") == 1.0; }},
+      {"limp-home not stuck at end",
+       [](const fault::Metrics& m) {
+         return m.at("limp_home_at_end") == 0.0;
+       }},
+      {"uplink session up at end",
+       [](const fault::Metrics& m) {
+         return m.at("session_up_at_end") == 1.0;
+       }},
+      {"feed never silent > 1s",
+       [](const fault::Metrics& m) {
+         return m.at("worst_feed_gap_ms") <= 1000.0;
+       }},
   };
-
-  // Serial reference first, then the parallel sweep: the reports must be
-  // byte-identical (the campaign determinism contract) and the wall-clock
-  // ratio shows the fan-out win.
-  // AVSEC-LINT-ALLOW(R1): wall-clock speedup report for --workers, not sim state
-  using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
-  const auto serial_report = make_campaign(1, nullptr).sweep(run_scenario);
-  const auto t1 = clock::now();
-  fault::ResumeStats resume_stats;
-  const auto report =
-      resume_path != nullptr
-          ? make_campaign(workers, nullptr)
-                .resume(run_scenario, resume_path, &resume_stats)
-          : make_campaign(workers, manifest_path).sweep(run_scenario);
-  const auto t2 = clock::now();
-
-  const double serial_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  const double parallel_ms =
-      std::chrono::duration<double, std::milli>(t2 - t1).count();
-  const bool reports_identical = fault::identical(serial_report, report);
-  std::printf("sweep wall-clock: serial %.0f ms, %zu workers %.0f ms "
-              "(speedup %.2fx), reports identical: %s\n",
-              serial_ms, workers, parallel_ms,
-              parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0,
-              reports_identical ? "yes" : "NO");
-  if (resume_path != nullptr) {
-    std::printf("resumed from %s: %zu runs loaded, %zu re-run, "
-                "%zu torn/corrupt lines dropped; resumed report %s fresh "
-                "sweep\n",
-                resume_path, resume_stats.loaded, resume_stats.reran,
-                resume_stats.dropped_lines,
-                reports_identical ? "IDENTICAL to" : "DIFFERS from");
-  } else if (manifest_path != nullptr) {
-    std::printf("sweep journaled to %s (resume with --resume %s)\n",
-                manifest_path, manifest_path);
-  }
-  std::printf("\n");
-
-  core::Table t({"Metric", "Mean", "Min", "Max"});
-  for (const auto& [name, acc] : report.aggregate) {
-    t.add_row({name, core::Table::num(acc.mean(), 2),
-               core::Table::num(acc.min(), 2),
-               core::Table::num(acc.max(), 2)});
-  }
-  t.print("Campaign aggregates over " + std::to_string(report.runs) +
-          " seeded runs");
-
-  core::Table v({"Invariant", "Violations"});
-  bool any = false;
-  for (const auto& [name, count] : report.violations) {
-    v.add_row({name, std::to_string(count)});
-    any = true;
-  }
-  if (any) {
-    v.print("Invariant violations");
-    std::printf("failing seeds (replayable):");
-    for (auto s : report.failing_seeds()) std::printf(" %llu",
-        static_cast<unsigned long long>(s));
-    std::printf("\n");
-  } else {
-    std::printf("\nAll invariants held on every run (%zu/%zu passed).\n",
-                report.runs - report.failed_runs, report.runs);
-  }
-  if (report.quarantined_runs > 0) {
-    std::printf("quarantined seeds (%zu runs failed every attempt):",
-                report.quarantined_runs);
-    for (auto s : report.quarantined_seeds()) {
-      std::printf(" %llu", static_cast<unsigned long long>(s));
-    }
-    std::printf("\n");
-  }
-  if (report.runs_retried > 0) {
-    std::printf("%zu runs needed retries\n", report.runs_retried);
-  }
-
-  if (trace_failing) {
-    std::size_t written = 0;
-    for (const auto& o : report.outcomes) {
-      if (o.violated.empty()) continue;
-      const std::string path =
-          "campaign-trace-" + std::to_string(o.seed) + ".txt";
-      if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-        std::fwrite(o.trace.data(), 1, o.trace.size(), f);
-        std::fclose(f);
-        std::printf("wrote failing-run trace %s (%zu bytes)\n", path.c_str(),
-                    o.trace.size());
-        ++written;
-      }
-    }
-    if (written == 0) {
-      std::printf("--trace-failing: no run failed, nothing captured\n");
-    }
-  }
-
-  if (trace_path != nullptr) {
-    // Replay one run — the first failing seed if any, else run 0 — with an
-    // ambient recorder and export a Perfetto-loadable timeline.
-    const auto failing = report.failing_seeds();
-    const std::uint64_t seed =
-        failing.empty() ? report.outcomes.front().seed : failing.front();
-    fault::SimContext ctx;
-    obs::TraceRecorder& rec = ctx.recorder();
-    {
-      obs::TraceScope scope(rec);
-      run_scenario(ctx, seed);
-    }
-    if (obs::write_chrome_trace(rec, trace_path)) {
-      std::printf("wrote Perfetto trace of seed %llu to %s "
-                  "(%zu events retained, %llu dropped)\n",
-                  static_cast<unsigned long long>(seed), trace_path,
-                  rec.size(), static_cast<unsigned long long>(rec.dropped()));
-    } else {
-      std::printf("failed to write trace to %s\n", trace_path);
-      return 1;
-    }
-  }
-  return report.all_passed() && reports_identical ? 0 : 1;
+  campaign.run = run_scenario;
+  return fault::cli::campaign_main(argc, argv, campaign);
 }

@@ -11,20 +11,16 @@
 //    them) checking the resilience invariants: the voter masks every
 //    single-replica lie, the supervisor always walks back to NOMINAL, and
 //    nothing ever escalates to SAFE_STOP under transient single faults.
-#include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "avsec/core/table.hpp"
-#include "avsec/core/thread_pool.hpp"
-#include "avsec/fault/campaign.hpp"
+#include "avsec/fault/cli.hpp"
 #include "avsec/fault/fault.hpp"
 #include "avsec/health/replica.hpp"
 #include "avsec/health/supervisor.hpp"
 #include "avsec/ids/correlation.hpp"
-#include "avsec/obs/obs.hpp"
 
 using namespace avsec;
 
@@ -220,187 +216,24 @@ fault::Metrics run_chaos(fault::SimContext& ctx, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("avsec health chaos: supervision, voting & recovery\n");
-  std::printf("==================================================\n\n");
-  escalation_ladder();
-
-  // Positional args (runs, base_seed) stay as-is for CI pinning; the
-  // --workers flag may appear anywhere.
-  std::size_t workers = core::ThreadPool::default_workers();
-  const char* trace_path = nullptr;  // --trace <file.json>: Perfetto export
-  bool trace_failing = false;        // --trace-failing: capture failing runs
-  const char* manifest_path = nullptr;  // --manifest <f>: journal the sweep
-  const char* resume_path = nullptr;    // --resume <f>: resume from journal
-  std::vector<const char*> positional;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (workers == 0) workers = core::ThreadPool::default_workers();
-      continue;
-    }
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-      continue;
-    }
-    if (std::strcmp(argv[i], "--trace-failing") == 0) {
-      trace_failing = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--manifest") == 0 && i + 1 < argc) {
-      manifest_path = argv[++i];
-      continue;
-    }
-    if (std::strcmp(argv[i], "--resume") == 0 && i + 1 < argc) {
-      resume_path = argv[++i];
-      continue;
-    }
-    positional.push_back(argv[i]);
-  }
-  const std::size_t runs =
-      positional.size() > 0
-          ? static_cast<std::size_t>(std::atoll(positional[0]))
-          : 20;
-  const std::uint64_t base_seed =
-      positional.size() > 1
-          ? static_cast<std::uint64_t>(std::atoll(positional[1]))
-          : 2026;
-
-  auto make_campaign = [&](std::size_t w, const char* manifest) {
-    fault::CampaignConfig cfg;
-    cfg.runs = runs;
-    cfg.base_seed = base_seed;
-    cfg.workers = w;
-    if (trace_failing) cfg.trace = fault::TraceCapture::kFailingRuns;
-    // Supervised sweep: crashing/runaway seeds are quarantined instead of
-    // aborting the chaos campaign. Wall deadline off for determinism.
-    cfg.supervision.enabled = true;
-    cfg.supervision.max_events = 50'000'000;
-    cfg.supervision.retry.max_retries = 1;
-    if (manifest != nullptr) cfg.manifest_path = manifest;
-    fault::Campaign campaign(cfg);
-    campaign
-        .require("2oo3 voter masks single-replica faults",
-                 [](const fault::Metrics& m) {
-                   return m.at("max_fused_err") <= 0.5;
-                 })
-        .require("supervisor back to NOMINAL at end",
-                 [](const fault::Metrics& m) {
-                   return m.at("nominal_at_end") == 1.0;
-                 })
-        .require("no spurious SAFE_STOP", [](const fault::Metrics& m) {
-          return m.at("safe_stop") == 0.0;
-        });
-    return campaign;
+  fault::cli::CampaignMain campaign;
+  campaign.title = "avsec health chaos: supervision, voting & recovery";
+  campaign.config.runs = 20;
+  campaign.config.base_seed = 2026;
+  // Supervised sweep: crashing/runaway seeds are quarantined instead of
+  // aborting the chaos campaign. Wall deadline off for determinism.
+  campaign.config.supervision.enabled = true;
+  campaign.config.supervision.max_events = 50'000'000;
+  campaign.config.supervision.retry.max_retries = 1;
+  campaign.invariants = {
+      {"2oo3 voter masks single-replica faults",
+       [](const fault::Metrics& m) { return m.at("max_fused_err") <= 0.5; }},
+      {"supervisor back to NOMINAL at end",
+       [](const fault::Metrics& m) { return m.at("nominal_at_end") == 1.0; }},
+      {"no spurious SAFE_STOP",
+       [](const fault::Metrics& m) { return m.at("safe_stop") == 0.0; }},
   };
-
-  // AVSEC-LINT-ALLOW(R1): wall-clock speedup report for --workers, not sim state
-  using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
-  const auto serial_report = make_campaign(1, nullptr).sweep(run_chaos);
-  const auto t1 = clock::now();
-  fault::ResumeStats resume_stats;
-  const auto report =
-      resume_path != nullptr
-          ? make_campaign(workers, nullptr)
-                .resume(run_chaos, resume_path, &resume_stats)
-          : make_campaign(workers, manifest_path).sweep(run_chaos);
-  const auto t2 = clock::now();
-  const double serial_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  const double parallel_ms =
-      std::chrono::duration<double, std::milli>(t2 - t1).count();
-  const bool reports_identical = fault::identical(serial_report, report);
-  std::printf("sweep wall-clock: serial %.0f ms, %zu workers %.0f ms "
-              "(speedup %.2fx), reports identical: %s\n",
-              serial_ms, workers, parallel_ms,
-              parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0,
-              reports_identical ? "yes" : "NO");
-  if (resume_path != nullptr) {
-    std::printf("resumed from %s: %zu runs loaded, %zu re-run, "
-                "%zu torn/corrupt lines dropped; resumed report %s fresh "
-                "sweep\n",
-                resume_path, resume_stats.loaded, resume_stats.reran,
-                resume_stats.dropped_lines,
-                reports_identical ? "IDENTICAL to" : "DIFFERS from");
-  } else if (manifest_path != nullptr) {
-    std::printf("sweep journaled to %s (resume with --resume %s)\n",
-                manifest_path, manifest_path);
-  }
-  std::printf("\n");
-
-  core::Table t({"Metric", "Mean", "Min", "Max"});
-  for (const auto& [name, acc] : report.aggregate) {
-    t.add_row({name, core::Table::num(acc.mean(), 2),
-               core::Table::num(acc.min(), 2),
-               core::Table::num(acc.max(), 2)});
-  }
-  t.print("Chaos campaign aggregates over " + std::to_string(report.runs) +
-          " seeded runs (base seed " + std::to_string(base_seed) + ")");
-
-  if (!report.all_passed()) {
-    core::Table v({"Invariant", "Violations"});
-    for (const auto& [name, count] : report.violations) {
-      v.add_row({name, std::to_string(count)});
-    }
-    v.print("Invariant violations");
-    std::printf("failing seeds (replayable):");
-    for (auto s : report.failing_seeds()) {
-      std::printf(" %llu", static_cast<unsigned long long>(s));
-    }
-    std::printf("\n");
-  } else {
-    std::printf("\nAll invariants held on every run (%zu/%zu passed).\n",
-                report.runs - report.failed_runs, report.runs);
-  }
-  if (report.quarantined_runs > 0) {
-    std::printf("quarantined seeds (%zu runs failed every attempt):",
-                report.quarantined_runs);
-    for (auto s : report.quarantined_seeds()) {
-      std::printf(" %llu", static_cast<unsigned long long>(s));
-    }
-    std::printf("\n");
-  }
-
-  if (trace_failing) {
-    std::size_t written = 0;
-    for (const auto& o : report.outcomes) {
-      if (o.violated.empty()) continue;
-      const std::string path =
-          "chaos-trace-" + std::to_string(o.seed) + ".txt";
-      if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-        std::fwrite(o.trace.data(), 1, o.trace.size(), f);
-        std::fclose(f);
-        std::printf("wrote failing-run trace %s (%zu bytes)\n", path.c_str(),
-                    o.trace.size());
-        ++written;
-      }
-    }
-    if (written == 0) {
-      std::printf("--trace-failing: no run failed, nothing captured\n");
-    }
-  }
-
-  if (trace_path != nullptr) {
-    // Replay one run — the first failing seed if any, else run 0 — with an
-    // ambient recorder and export a Perfetto-loadable timeline.
-    const auto failing = report.failing_seeds();
-    const std::uint64_t seed =
-        failing.empty() ? report.outcomes.front().seed : failing.front();
-    fault::SimContext ctx;
-    obs::TraceRecorder& rec = ctx.recorder();
-    {
-      obs::TraceScope scope(rec);
-      run_chaos(ctx, seed);
-    }
-    if (obs::write_chrome_trace(rec, trace_path)) {
-      std::printf("wrote Perfetto trace of seed %llu to %s "
-                  "(%zu events retained, %llu dropped)\n",
-                  static_cast<unsigned long long>(seed), trace_path,
-                  rec.size(), static_cast<unsigned long long>(rec.dropped()));
-    } else {
-      std::printf("failed to write trace to %s\n", trace_path);
-      return 1;
-    }
-  }
-  return report.all_passed() && reports_identical ? 0 : 1;
+  campaign.run = run_chaos;
+  campaign.prologue = escalation_ladder;
+  return fault::cli::campaign_main(argc, argv, campaign);
 }

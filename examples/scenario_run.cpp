@@ -9,15 +9,13 @@
 //   example_scenario_run --generate 8 --seed 42    # sample the matrix
 //   example_scenario_run --generate 20 --emit dir  # write .avsc files
 //   example_scenario_run --coverage cov.txt s/*.avsc
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "avsec/core/thread_pool.hpp"
-#include "avsec/obs/obs.hpp"
+#include "avsec/fault/cli.hpp"
 #include "avsec/scenario/scenario.hpp"
 
 using namespace avsec;
@@ -35,14 +33,12 @@ int usage(const char* argv0) {
                "  --list           parse + compile only; print names and "
                "exit\n"
                "  --smoke          run at smoke scale (horizon/5)\n"
-               "  --workers N      sweep workers (default: hardware)\n"
-               "  --manifest FILE  journal sweeps (FILE, or FILE.<n> when "
-               "several)\n"
-               "  --trace FILE     Perfetto trace of the first scenario's "
-               "first seed\n"
                "  --coverage FILE  write coverage report (text, or JSON for "
-               "*.json; '-' = stdout)\n",
-               argv0);
+               "*.json; '-' = stdout)\n"
+               "%s"
+               "With several scenarios, scenario n journals to FILE.<n>, "
+               "and the trace replays\nthe first scenario.\n",
+               argv0, fault::cli::flag_help());
   return 2;
 }
 
@@ -62,42 +58,44 @@ bool ends_with(const std::string& s, const char* suffix) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  fault::cli::Options opts;
+  std::string error = fault::cli::parse(argc, argv, opts);
+  if (error.empty() && opts.trace_failing) {
+    error = "failing-run trace dumps are not supported for scenarios";
+  }
+  if (!error.empty()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
+    return usage(argv[0]);
+  }
+
   std::size_t gen_count = 0;
   std::uint64_t gen_seed = 1;
   const char* emit_dir = nullptr;
   bool list_only = false;
   bool smoke = false;
-  std::size_t workers = core::ThreadPool::default_workers();
-  const char* manifest_path = nullptr;
-  const char* trace_path = nullptr;
   const char* coverage_path = nullptr;
   std::vector<std::string> files;
-
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--generate") == 0 && i + 1 < argc) {
-      gen_count = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      gen_seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr,
-                                                          10));
-    } else if (std::strcmp(argv[i], "--emit") == 0 && i + 1 < argc) {
-      emit_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--list") == 0) {
+  const std::vector<std::string>& args = opts.rest;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    const bool has_value = i + 1 < args.size();
+    if (arg == "--generate" && has_value) {
+      gen_count = static_cast<std::size_t>(std::atoll(args[++i].c_str()));
+    } else if (arg == "--seed" && has_value) {
+      gen_seed = static_cast<std::uint64_t>(
+          std::strtoull(args[++i].c_str(), nullptr, 10));
+    } else if (arg == "--emit" && has_value) {
+      emit_dir = args[++i].c_str();
+    } else if (arg == "--list") {
       list_only = true;
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
+    } else if (arg == "--smoke") {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (workers == 0) workers = core::ThreadPool::default_workers();
-    } else if (std::strcmp(argv[i], "--manifest") == 0 && i + 1 < argc) {
-      manifest_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--coverage") == 0 && i + 1 < argc) {
-      coverage_path = argv[++i];
-    } else if (argv[i][0] == '-') {
+    } else if (arg == "--coverage" && has_value) {
+      coverage_path = args[++i].c_str();
+    } else if (arg[0] == '-') {
       return usage(argv[0]);
     } else {
-      files.push_back(argv[i]);
+      files.push_back(arg);
     }
   }
   if (files.empty() && gen_count == 0) return usage(argv[0]);
@@ -182,47 +180,24 @@ int main(int argc, char** argv) {
               "ident", "verdict");
   bool all_passed = true;
   bool all_identical = true;
-  std::size_t index = 0;
-  for (const scenario::CompiledScenario& s : scenarios) {
-    auto run = [&s, scale](fault::SimContext& ctx, std::uint64_t seed) {
+  bool trace_ok = true;
+  for (std::size_t index = 0; index < scenarios.size(); ++index) {
+    const scenario::CompiledScenario& s = scenarios[index];
+    const auto run = [&s, scale](fault::SimContext& ctx, std::uint64_t seed) {
       return s.run(ctx.sim(), seed, scale);
     };
-    const fault::CampaignReport serial = s.campaign(1).sweep(run);
-
-    fault::Campaign parallel = s.campaign(workers);
-    if (manifest_path != nullptr) {
-      fault::CampaignConfig cfg = s.campaign_config(workers);
-      cfg.manifest_path = scenarios.size() == 1
-                              ? std::string(manifest_path)
-                              : std::string(manifest_path) + "." +
-                                    std::to_string(index);
-      parallel = fault::Campaign(cfg);
-      for (const scenario::Oracle& o : s.spec().oracles) {
-        // Rebuild the oracle invariants the manifest-less campaign() wires.
-        parallel.require(
-            o.metric + " " + scenario::oracle_op_name(o.op) + " " +
-                scenario::double_literal(o.value),
-            [o](const fault::Metrics& m) {
-              const auto it = m.find(o.metric);
-              return it != m.end() &&
-                     scenario::oracle_holds(o.op, it->second, o.value);
-            });
-      }
-    }
-    // AVSEC-LINT-ALLOW(R1): wall-clock column reports host time, not sim state
-    const auto t0 = std::chrono::steady_clock::now();
-    const fault::CampaignReport report = parallel.sweep(run);
-    // AVSEC-LINT-ALLOW(R1): wall-clock column reports host time, not sim state
-    const auto t1 = std::chrono::steady_clock::now();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-
-    const bool identical = fault::identical(serial, report);
+    const fault::cli::Sweep sw = fault::cli::sweep(
+        opts,
+        [&s](std::size_t workers, const std::string& manifest) {
+          return s.campaign(workers, manifest);
+        },
+        run, scenarios.size() == 1 ? "" : "." + std::to_string(index));
+    const fault::CampaignReport& report = sw.report;
     const bool passed = report.all_passed();
     all_passed &= passed;
-    all_identical &= identical;
+    all_identical &= sw.identical;
     std::printf("%-44s %5zu %8.1f %6s %s\n", s.spec().name.c_str(),
-                report.runs, wall_ms, identical ? "yes" : "NO",
+                report.runs, sw.parallel_ms, sw.identical ? "yes" : "NO",
                 passed ? "pass" : "FAIL");
     if (!passed) {
       for (const auto& [name, count] : report.violations) {
@@ -234,29 +209,14 @@ int main(int argc, char** argv) {
       }
       std::printf("\n");
     }
-    ++index;
-  }
-
-  if (trace_path != nullptr && !scenarios.empty()) {
-    const scenario::CompiledScenario& s = scenarios.front();
-    obs::TraceRecorder rec;
-    {
-      obs::TraceScope scope(rec);
-      core::Scheduler sim;
-      s.run(sim, s.spec().seed, scale);
-    }
-    if (obs::write_chrome_trace(rec, trace_path)) {
-      std::printf("wrote Perfetto trace of %s seed %llu to %s\n",
-                  s.spec().name.c_str(),
-                  static_cast<unsigned long long>(s.spec().seed), trace_path);
-    } else {
-      std::fprintf(stderr, "failed to write trace to %s\n", trace_path);
-      return 1;
+    if (sw.resumed) fault::cli::print_journal(sw);
+    if (index == 0 && !opts.trace.empty()) {
+      trace_ok = fault::cli::write_trace(report, run, opts.trace);
     }
   }
 
   std::printf("\n%zu scenarios, %s, worker-count determinism %s\n",
               scenarios.size(), all_passed ? "all passed" : "FAILURES",
               all_identical ? "held" : "VIOLATED");
-  return all_passed && all_identical ? 0 : 1;
+  return all_passed && all_identical && trace_ok ? 0 : 1;
 }

@@ -810,8 +810,11 @@ fault::CampaignConfig CompiledScenario::campaign_config(
   return cfg;
 }
 
-fault::Campaign CompiledScenario::campaign(std::size_t workers) const {
-  fault::Campaign c(campaign_config(workers));
+fault::Campaign CompiledScenario::campaign(
+    std::size_t workers, const std::string& manifest_path) const {
+  fault::CampaignConfig cfg = campaign_config(workers);
+  cfg.manifest_path = manifest_path;
+  fault::Campaign c(cfg);
   for (const Oracle& o : spec_.oracles) {
     c.require(oracle_name(o), [o](const fault::Metrics& m) {
       const auto it = m.find(o.metric);

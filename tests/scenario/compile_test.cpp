@@ -3,6 +3,8 @@
 // the metric sets the oracles are validated against.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "avsec/core/scheduler.hpp"
 #include "avsec/scenario/compile.hpp"
 #include "avsec/scenario/parser.hpp"
@@ -191,6 +193,35 @@ TEST(ScenarioCompile, ServeEntryRunsStandalone) {
   fault::SimContext ctx;
   const fault::Metrics m = s.run_ctx(ctx, 3, serve::Scale::kFull);
   EXPECT_GE(m.at("beats_sent"), 1.0);
+}
+
+// campaign(workers, path) is campaign(workers) journaling to `path`: the
+// same oracle invariants, and a journal a resume adopts in full.
+TEST(ScenarioCompile, CampaignJournalsToManifestPath) {
+  CompileResult r = compile(spec_of(
+      "scenario journal\n  runs 3\n  horizon 100ms\n\ntopology can\n\n"
+      "oracle frames_sent >= 1\noracle attack_accepted == 0\n"));
+  ASSERT_TRUE(r.ok) << r.error.to_string();
+  const std::string path =
+      ::testing::TempDir() + "avsec_compile_journal.jsonl";
+  std::remove(path.c_str());
+  const fault::Campaign plain = r.compiled.campaign(2);
+  const fault::Campaign journaled = r.compiled.campaign(2, path);
+  EXPECT_EQ(plain.config().manifest_path, "");
+  EXPECT_EQ(journaled.config().manifest_path, path);
+  EXPECT_EQ(journaled.invariant_names().size(), 2u);
+  EXPECT_EQ(journaled.invariant_names(), plain.invariant_names());
+
+  const auto run = [&r](fault::SimContext& ctx, std::uint64_t seed) {
+    return r.compiled.run(ctx.sim(), seed);
+  };
+  const fault::CampaignReport swept = journaled.sweep(run);
+  fault::ResumeStats stats;
+  const fault::CampaignReport resumed =
+      r.compiled.campaign(1).resume(run, path, &stats);
+  EXPECT_EQ(stats.loaded, 3u);
+  EXPECT_EQ(stats.reran, 0u);
+  EXPECT_TRUE(fault::identical(swept, resumed));
 }
 
 }  // namespace
