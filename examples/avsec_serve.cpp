@@ -14,13 +14,14 @@
 // contract; see DESIGN.md §14). EOF drains in-flight work, then prints a
 // stats summary to stderr.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "avsec/fault/cli.hpp"
 #include "avsec/scenario/corpus.hpp"
 #include "avsec/serve/serve.hpp"
 
@@ -58,10 +59,19 @@ int main(int argc, char** argv) {
   std::string corpus_dir;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, "--workers") == 0 && i + 1 < argc) {
-      config.workers = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(arg, "--queue") == 0 && i + 1 < argc) {
-      config.queue_capacity = static_cast<std::size_t>(std::atoi(argv[++i]));
+    std::size_t* count = std::strcmp(arg, "--workers") == 0 ? &config.workers
+                         : std::strcmp(arg, "--queue") == 0
+                             ? &config.queue_capacity
+                             : nullptr;
+    if (count != nullptr) {
+      std::uint64_t value = 0;
+      if (i + 1 >= argc || !avsec::fault::cli::parse_u64(argv[++i], value)) {
+        std::fprintf(stderr, "%s: %s needs a non-negative integer\n",
+                     argv[0], arg);
+        usage(argv[0]);
+        return 2;
+      }
+      *count = static_cast<std::size_t>(value);
     } else if (std::strcmp(arg, "--corpus") == 0 && i + 1 < argc) {
       corpus_dir = argv[++i];
     } else if (std::strcmp(arg, "--stream") == 0) {

@@ -26,8 +26,8 @@ namespace {
 // simulate, measure.
 fault::Metrics run_scenario(fault::SimContext& ctx, std::uint64_t seed) {
   core::Scheduler& sim = ctx.sim();
-  // Opt in to campaign supervision: inside a supervised sweep this chains
-  // the run's event budget / deadline guard onto the scheduler; standalone
+  // Opt in to campaign supervision: inside a sweep this chains the run's
+  // event budget / deadline guard onto the scheduler; standalone
   // (replay, tracing) it is a no-op.
   fault::supervise(sim);
 
@@ -151,11 +151,10 @@ int main(int argc, char** argv) {
   campaign.title = "avsec fault campaign: attacks and faults, co-simulated";
   campaign.config.runs = 20;
   campaign.config.base_seed = 2026;
-  // Supervision on: a crashing or runaway seed becomes a quarantined
-  // outcome instead of taking the whole sweep down. The event budget is
-  // far above any legitimate run; the wall deadline stays off so the
-  // report is a pure function of the seeds.
-  campaign.config.supervision.enabled = true;
+  // A crashing or runaway seed becomes a quarantined outcome instead of
+  // taking the whole sweep down. The event budget is far above any
+  // legitimate run; the wall deadline stays off so the report is a pure
+  // function of the seeds.
   campaign.config.supervision.max_events = 50'000'000;
   campaign.config.supervision.retry.max_retries = 1;
   campaign.invariants = {

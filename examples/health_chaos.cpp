@@ -220,9 +220,8 @@ int main(int argc, char** argv) {
   campaign.title = "avsec health chaos: supervision, voting & recovery";
   campaign.config.runs = 20;
   campaign.config.base_seed = 2026;
-  // Supervised sweep: crashing/runaway seeds are quarantined instead of
-  // aborting the chaos campaign. Wall deadline off for determinism.
-  campaign.config.supervision.enabled = true;
+  // Crashing/runaway seeds are quarantined instead of aborting the chaos
+  // campaign. Wall deadline off for determinism.
   campaign.config.supervision.max_events = 50'000'000;
   campaign.config.supervision.retry.max_retries = 1;
   campaign.invariants = {

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -186,18 +187,19 @@ int main(int argc, char** argv) {
     const auto run = [&s, scale](fault::SimContext& ctx, std::uint64_t seed) {
       return s.run(ctx.sim(), seed, scale);
     };
-    const fault::cli::Sweep sw = fault::cli::sweep(
+    const std::optional<fault::cli::Sweep> sw = fault::cli::sweep(
         opts,
         [&s](std::size_t workers, const std::string& manifest) {
           return s.campaign(workers, manifest);
         },
         run, scenarios.size() == 1 ? "" : "." + std::to_string(index));
-    const fault::CampaignReport& report = sw.report;
+    if (!sw) return 2;
+    const fault::CampaignReport& report = sw->report;
     const bool passed = report.all_passed();
     all_passed &= passed;
-    all_identical &= sw.identical;
+    all_identical &= sw->identical;
     std::printf("%-44s %5zu %8.1f %6s %s\n", s.spec().name.c_str(),
-                report.runs, sw.parallel_ms, sw.identical ? "yes" : "NO",
+                report.runs, sw->parallel_ms, sw->identical ? "yes" : "NO",
                 passed ? "pass" : "FAIL");
     if (!passed) {
       for (const auto& [name, count] : report.violations) {
@@ -209,7 +211,7 @@ int main(int argc, char** argv) {
       }
       std::printf("\n");
     }
-    if (sw.resumed) fault::cli::print_journal(sw);
+    if (sw->resumed) fault::cli::print_journal(*sw);
     if (index == 0 && !opts.trace.empty()) {
       trace_ok = fault::cli::write_trace(report, run, opts.trace);
     }

@@ -47,53 +47,20 @@ void ThreadPool::wait() {
   if (err) std::rethrow_exception(err);
 }
 
-void ThreadPool::submit(std::function<void()> task,
-                        std::exception_ptr* error_slot) {
-  submit([task = std::move(task), error_slot] {
-    try {
-      task();
-    } catch (...) {
-      *error_slot = std::current_exception();
-    }
-  });
-}
-
 void ThreadPool::for_each_index(std::size_t n,
                                 const std::function<void(std::size_t)>& fn) {
-  for_each_index(n, fn, nullptr);
-}
-
-void ThreadPool::for_each_index(std::size_t n,
-                                const std::function<void(std::size_t)>& fn,
-                                std::vector<std::exception_ptr>* errors) {
-  if (errors != nullptr) {
-    errors->clear();
-    errors->resize(n);
-  }
   if (n == 0) return;
   // One pulling task per worker instead of one per index: the shared
   // counter hands out indices dynamically and the queue sees O(workers)
-  // entries, not O(n).
-  //
-  // In first-error mode a throw kills the puller (its remaining indices
-  // are abandoned; wait() rethrows). In drain mode the puller catches into
-  // the index's private slot and keeps pulling, so every index runs no
-  // matter how many of them fail.
+  // entries, not O(n). A throw kills the puller (its remaining indices are
+  // abandoned; wait() rethrows).
   auto next = std::make_shared<std::atomic<std::size_t>>(0);
   const std::size_t pullers = std::min(size(), n);
   for (std::size_t w = 0; w < pullers; ++w) {
-    submit([next, n, &fn, errors] {
+    submit([next, n, &fn] {
       for (std::size_t i = next->fetch_add(1); i < n;
            i = next->fetch_add(1)) {
-        if (errors == nullptr) {
-          fn(i);
-        } else {
-          try {
-            fn(i);
-          } catch (...) {
-            (*errors)[i] = std::current_exception();
-          }
-        }
+        fn(i);
       }
     });
   }

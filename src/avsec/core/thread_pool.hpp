@@ -6,8 +6,10 @@
 // synchronize it themselves; the pool provides no per-task locking.
 //
 // Exceptions thrown by tasks are captured and rethrown from wait() /
-// for_each_index() on the calling thread (first failure wins; the rest of
-// the batch still drains so workers never deadlock).
+// for_each_index() / for_each_chunk() on the calling thread (first failure
+// wins; the rest of the batch still drains so workers never deadlock).
+// Callers that need every item attempted catch inside the task, as the
+// campaign sweep does.
 #pragma once
 
 #include <cstddef>
@@ -38,17 +40,8 @@ class ThreadPool {
   /// Enqueues a task for execution on some worker.
   void submit(std::function<void()> task);
 
-  /// Enqueues a task with a private error slot: an exception it throws is
-  /// stored in *error_slot instead of the pool's shared first-error slot,
-  /// so wait() will not rethrow it and unrelated tasks keep their own
-  /// failure state. The slot must outlive the task and must not be shared
-  /// between tasks (each slot is written by exactly one task, unsynchronized
-  /// with every other slot).
-  void submit(std::function<void()> task, std::exception_ptr* error_slot);
-
   /// Blocks until every task submitted so far has finished, then rethrows
-  /// the first exception any of them raised (if any). Tasks submitted with
-  /// a private error slot never surface here.
+  /// the first exception any of them raised (if any).
   void wait();
 
   /// Runs fn(i) for every i in [0, n) across the pool and blocks until all
@@ -57,16 +50,6 @@ class ThreadPool {
   /// skew. Rethrows the first exception raised by any call.
   void for_each_index(std::size_t n,
                       const std::function<void(std::size_t)>& fn);
-
-  /// Drain-mode fan-out: like for_each_index, but one call's exception no
-  /// longer poisons the batch — every index is still attempted, and each
-  /// failure lands in (*errors)[i] (resized to n, nullptr = index i
-  /// succeeded). Slots are disjoint per index, so no synchronization is
-  /// needed to read them after return. Passing errors == nullptr degrades
-  /// to the first-error mode above. Campaign supervision uses this so a
-  /// crashed run is an outcome, not the end of the sweep.
-  void for_each_index(std::size_t n, const std::function<void(std::size_t)>& fn,
-                      std::vector<std::exception_ptr>* errors);
 
   /// Chunked fan-out: partitions [0, n) into contiguous ranges of `chunk`
   /// indices that pulling tasks claim from a shared counter, calling

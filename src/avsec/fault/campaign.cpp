@@ -1,10 +1,9 @@
 #include "avsec/fault/campaign.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <exception>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "avsec/core/rng.hpp"
@@ -97,76 +96,29 @@ void fold_report(CampaignReport& report,
   report.runs_retried = blocks[0].retried;
 }
 
-// One execution attempt: reset the worker's context, collect metrics,
-// evaluate invariants, capture the trace per policy. Every attempt —
-// retries included — starts from the reset-determinism baseline:
-// scheduler and arena rewound, recorder emptied.
-void attempt_once(const CampaignConfig& config, const Invariants& invariants,
-                  const Campaign::CtxRunFn& run, SimContext& ctx,
-                  RunOutcome& o) {
-  o.metrics.clear();
+// One run: the supervised attempt loop, then the invariants and the trace
+// policy on the attempt that completed. Everything written is a pure
+// function of the seed; the backoff between attempts only paces them.
+void execute_run(const CampaignConfig& config, const Invariants& invariants,
+                 const Campaign::CtxRunFn& run, SimContext& ctx,
+                 RunOutcome& o) {
+  SupervisedRun r = run_supervised(
+      config.supervision, ctx, config.trace != TraceCapture::kOff,
+      [&](SimContext& c) { return run(c, o.seed); });
+  o.status = r.status;
+  o.attempts = r.attempts;
+  o.error = std::move(r.error);
+  o.metrics = std::move(r.metrics);
   o.violated.clear();
   o.trace.clear();
-  o.error.clear();
-  ctx.reset();
-  if (config.trace == TraceCapture::kOff) {
-    o.metrics = run(ctx, o.seed);
-  } else {
-    obs::TraceScope scope(ctx.recorder());
-    o.metrics = run(ctx, o.seed);
-  }
+  if (is_quarantined(o.status)) return;
   for (const auto& [name, check] : invariants) {
     if (!check(o.metrics)) o.violated.push_back(name);
   }
+  o.status = o.violated.empty() ? RunStatus::kPassed : RunStatus::kViolated;
   if (config.trace == TraceCapture::kAllRuns ||
       (config.trace == TraceCapture::kFailingRuns && !o.violated.empty())) {
     o.trace = obs::text_dump(ctx.recorder());
-  }
-  o.status =
-      o.violated.empty() ? RunStatus::kPassed : RunStatus::kViolated;
-}
-
-// Supervised execution: attempts under a RunGuard until one completes or
-// the retry budget is spent. Never throws — every failure mode becomes a
-// structured status on the outcome. The backoff sleep between attempts is
-// wall-clock (it paces retries, it does not touch the result), so the
-// outcome itself stays a pure function of the seed.
-void execute_supervised(const CampaignConfig& config,
-                        const Invariants& invariants,
-                        const Campaign::CtxRunFn& run, SimContext& ctx,
-                        RunOutcome& o) {
-  const SupervisionConfig& sup = config.supervision;
-  const int max_attempts = std::max(sup.retry.max_retries, 0) + 1;
-  for (int attempt = 0;; ++attempt) {
-    try {
-      RunGuard guard(sup);
-      GuardScope scope(guard);  // scenario's supervise(sim) finds it
-      attempt_once(config, invariants, run, ctx, o);
-      o.attempts = static_cast<std::uint32_t>(attempt + 1);
-      return;
-    } catch (const RunAborted& e) {
-      o.status = e.kind();
-      o.error = e.what();
-    } catch (const std::exception& e) {
-      o.status = RunStatus::kCrashed;
-      o.error = e.what();
-    } catch (...) {
-      o.status = RunStatus::kCrashed;
-      o.error = "unknown exception";
-    }
-    o.metrics.clear();
-    o.violated.clear();
-    o.trace.clear();
-    o.attempts = static_cast<std::uint32_t>(attempt + 1);
-    if (attempt + 1 >= max_attempts) return;  // quarantined
-    // Backoff before the retry. RetryPolicy durations are SimTime
-    // (picoseconds); read here as a wall-clock pause, capped.
-    std::int64_t pause_ns = sup.retry.timeout_for(attempt) / 1000;
-    const std::int64_t cap_ns = sup.max_backoff_ms * 1'000'000;
-    if (cap_ns > 0) pause_ns = std::min(pause_ns, cap_ns);
-    if (pause_ns > 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(pause_ns));
-    }
   }
 }
 
@@ -235,15 +187,26 @@ CampaignReport execute_sweep(const CampaignConfig& config,
 
   // Per-run work. Everything here depends only on the run's own seed, so
   // it can execute on any thread; the manifest append is the only shared
-  // touch and the writer serializes it internally.
+  // touch and the writer serializes it internally. execute_run() turns
+  // every scenario failure into an outcome, so anything caught here is
+  // bookkeeping itself failing (an invariant check or the journal
+  // throwing): it becomes a crash of that run, never the end of the sweep.
   auto execute = [&](std::size_t i, SimContext& ctx) {
     RunOutcome& o = outcomes[i];
-    if (config.supervision.enabled) {
-      execute_supervised(config, invariants, run, ctx, o);
-    } else {
-      attempt_once(config, invariants, run, ctx, o);
-      o.attempts = 1;
+    try {
+      execute_run(config, invariants, run, ctx, o);
+      if (writer != nullptr) writer->append(i, o);
+      return;
+    } catch (const std::exception& e) {
+      o.error = e.what();
+    } catch (...) {
+      o.error = "unknown exception";
     }
+    o.metrics.clear();
+    o.violated.clear();
+    o.trace.clear();
+    o.status = RunStatus::kCrashed;
+    o.attempts = std::max(o.attempts, 1u);
     if (writer != nullptr) writer->append(i, o);
   };
 
@@ -253,59 +216,20 @@ CampaignReport execute_sweep(const CampaignConfig& config,
   workers = std::min(workers, std::max<std::size_t>(todo.size(), 1));
 
   // One warm SimContext per worker slot, built here on the sweeping
-  // thread; the first reset() inside attempt_once hands confinement to
+  // thread; the first reset() inside run_supervised hands confinement to
   // the worker.
   const auto contexts = std::make_unique<SimContext[]>(workers);
 
-  // Workers claim contiguous chunks of the work list (amortized dispatch,
-  // one writer per neighborhood of outcome slots). Chunk size shapes only
-  // scheduling, never results.
-  const std::size_t chunk = std::clamp<std::size_t>(
-      todo.size() / (workers * 4), std::size_t{1}, std::size_t{64});
-
   std::unique_ptr<core::ThreadPool> pool;
-  if (workers > 1) pool = std::make_unique<core::ThreadPool>(workers);
-
-  if (pool == nullptr) {
+  if (workers == 1) {
     for (const std::size_t i : todo) execute(i, contexts[0]);
-  } else if (config.supervision.enabled) {
-    // Drain mode: execute() already converts scenario failures into
-    // structured outcomes, so anything landing in an error slot is
-    // supervision bookkeeping itself failing. Record it as a crash of
-    // that run rather than letting one slot abandon its chunk (or the
-    // other chunks).
-    std::vector<std::exception_ptr> errors(todo.size());
-    pool->for_each_chunk(
-        todo.size(), chunk,
-        [&](std::size_t slot, std::size_t lo, std::size_t hi) {
-          for (std::size_t k = lo; k < hi; ++k) {
-            try {
-              execute(todo[k], contexts[slot]);
-            } catch (...) {
-              errors[k] = std::current_exception();
-            }
-          }
-        });
-    for (std::size_t k = 0; k < errors.size(); ++k) {
-      if (!errors[k]) continue;
-      RunOutcome& o = outcomes[todo[k]];
-      o.metrics.clear();
-      o.violated.clear();
-      o.trace.clear();
-      o.status = RunStatus::kCrashed;
-      o.attempts = std::max(o.attempts, 1u);
-      try {
-        std::rethrow_exception(errors[k]);
-      } catch (const std::exception& e) {
-        o.error = e.what();
-      } catch (...) {
-        o.error = "unknown exception";
-      }
-      if (writer != nullptr) writer->append(todo[k], o);
-    }
   } else {
-    // First-error mode: preserves the pre-resilience contract that an
-    // unsupervised throwing run aborts the sweep and propagates.
+    // Workers claim contiguous chunks of the work list (amortized
+    // dispatch, one writer per neighborhood of outcome slots). Chunk size
+    // shapes only scheduling, never results.
+    const std::size_t chunk = std::clamp<std::size_t>(
+        todo.size() / (workers * 4), std::size_t{1}, std::size_t{64});
+    pool = std::make_unique<core::ThreadPool>(workers);
     pool->for_each_chunk(todo.size(), chunk,
                          [&](std::size_t slot, std::size_t lo,
                              std::size_t hi) {
@@ -355,8 +279,8 @@ CampaignReport sweep_impl(const CampaignConfig& config,
   ManifestWriter writer;
   ManifestWriter* journal = nullptr;
   if (!config.manifest_path.empty() &&
-      writer.open_fresh(config.manifest_path, header_for(config, invariants),
-                        config.manifest_fsync_chunk)) {
+      writer.open_fresh(config.manifest_path,
+                        header_for(config, invariants))) {
     journal = &writer;
   }
   return execute_sweep(config, invariants, run, nullptr, journal, nullptr);
@@ -378,8 +302,7 @@ CampaignReport resume_impl(const CampaignConfig& config,
     // Nothing trustworthy on disk: degrade to a fresh sweep that rewrites
     // the manifest, so the next interruption has a journal to resume from.
     ManifestWriter* journal =
-        writer.open_fresh(manifest_path, header_for(config, invariants),
-                          config.manifest_fsync_chunk)
+        writer.open_fresh(manifest_path, header_for(config, invariants))
             ? &writer
             : nullptr;
     return execute_sweep(config, invariants, run, nullptr, journal, &st);
@@ -396,8 +319,7 @@ CampaignReport resume_impl(const CampaignConfig& config,
   // at open time, so a file replaced since read_manifest() is refused
   // rather than appended to.
   ManifestWriter* journal =
-      writer.open_append(manifest_path, header_for(config, invariants),
-                         config.manifest_fsync_chunk)
+      writer.open_append(manifest_path, header_for(config, invariants))
           ? &writer
           : nullptr;
   return execute_sweep(config, invariants, run, &data.outcomes, journal, &st);

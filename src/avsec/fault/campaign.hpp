@@ -22,15 +22,15 @@
 // call concurrently; it must not touch shared mutable state outside its
 // own context.
 //
-// With `config.supervision.enabled`, each run executes under a
-// fault::RunGuard: a throwing run becomes a structured RunOutcome
-// (kCrashed / kTimedOut / kBudgetExhausted) instead of aborting the
-// sweep, failing runs are retried on the policy's backoff schedule, and
-// seeds that fail every attempt are quarantined — enumerated in the
-// report, never dropped. With `config.manifest_path` set, the sweep
-// journals every completed run to a crash-tolerant manifest that
-// Campaign::resume() uses to re-run only the missing or quarantined
-// runs; the merged report is byte-identical to an uninterrupted sweep.
+// Every run executes under supervision (fault::run_supervised, shared
+// with serve): a throwing run becomes a structured RunOutcome (kCrashed /
+// kTimedOut / kBudgetExhausted) instead of aborting the sweep, failing
+// runs are retried on the policy's backoff schedule, and seeds that fail
+// every attempt are quarantined — enumerated in the report, never
+// dropped. With `config.manifest_path` set, the sweep journals every
+// completed run to a crash-tolerant manifest that Campaign::resume() uses
+// to re-run only the missing or quarantined runs; the merged report is
+// byte-identical to an uninterrupted sweep.
 #pragma once
 
 #include <cstdint>
@@ -44,9 +44,6 @@
 #include "avsec/fault/resilience.hpp"
 
 namespace avsec::fault {
-
-/// Named scalar results of one scenario run.
-using Metrics = std::map<std::string, double>;
 
 /// Per-run trace capture policy for a sweep. Capture installs the worker
 /// context's obs::TraceRecorder (emptied by the reset before each attempt)
@@ -65,16 +62,13 @@ struct CampaignConfig {
   std::size_t workers = 1;
   /// Per-run trace capture (auto-records the failing seed's forensics).
   TraceCapture trace = TraceCapture::kOff;
-  /// Run-level supervision (budgets, crash capture, retry, quarantine).
-  /// Disabled by default: an unsupervised sweep behaves exactly like the
-  /// pre-resilience engine — a throwing run aborts the sweep.
+  /// Run-level supervision of every run: budgets, crash capture, retry,
+  /// quarantine.
   SupervisionConfig supervision;
   /// When non-empty, sweep() journals every completed run to this
-  /// newline-JSON manifest (atomic per-line appends, fsync every
-  /// `manifest_fsync_chunk` runs), and resume() reads it back.
+  /// newline-JSON manifest (atomic per-line appends, fsync every 8 runs),
+  /// and resume() reads it back.
   std::string manifest_path;
-  /// Runs appended between fsyncs of the manifest; 1 = fsync every run.
-  std::size_t manifest_fsync_chunk = 8;
 };
 
 struct RunOutcome {
@@ -142,9 +136,8 @@ class Campaign {
   /// Runs the sweep, serially or across config.workers threads, each run
   /// on its worker's pooled SimContext. Seeds are derived deterministically
   /// from base_seed, so a failing seed can be replayed in isolation; the
-  /// report does not depend on worker count. Unsupervised, an exception
-  /// thrown by any run aborts the sweep and propagates; supervised, it
-  /// becomes a structured outcome.
+  /// report does not depend on worker count. An exception thrown by a
+  /// run becomes a structured outcome, never a throw out of sweep().
   CampaignReport sweep(const CtxRunFn& run) const;
 
   /// Re-runs only the runs a previous sweep's manifest is missing (or

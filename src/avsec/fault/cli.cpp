@@ -3,6 +3,7 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 
 #include "avsec/core/table.hpp"
 #include "avsec/core/thread_pool.hpp"
@@ -11,14 +12,6 @@
 
 namespace avsec::fault::cli {
 namespace {
-
-// A whole decimal number: no sign, no whitespace, no trailing bytes, no
-// overflow.
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return !text.empty() && ec == std::errc() && ptr == end;
-}
 
 void print_seeds(const char* label, const std::vector<std::uint64_t>& seeds) {
   std::printf("%s", label);
@@ -80,6 +73,12 @@ void write_failing_traces(const CampaignReport& report) {
 }
 
 }  // namespace
+
+bool parse_u64(const std::string& text, std::uint64_t& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return !text.empty() && ec == std::errc() && ptr == end;
+}
 
 const char* flag_help() {
   return "  --workers N      sweep workers (0 = one per hardware thread, "
@@ -148,9 +147,9 @@ std::string parse_campaign(int argc, const char* const* argv, Options& out,
 }
 
 // AVSEC-LINT-ALLOW(R5): the wall-clock columns time the sweeps for the operator; they never reach sim state or report bytes
-Sweep sweep(const Options& opts, const MakeCampaign& make,
-            const Campaign::CtxRunFn& run,
-            const std::string& journal_suffix) {
+std::optional<Sweep> sweep(const Options& opts, const MakeCampaign& make,
+                           const Campaign::CtxRunFn& run,
+                           const std::string& journal_suffix) {
   using clock = std::chrono::steady_clock;  // AVSEC-LINT-ALLOW(R1): wall-clock speedup report for --workers, not sim state
   Sweep s;
   s.resumed = !opts.resume.empty();
@@ -163,9 +162,15 @@ Sweep sweep(const Options& opts, const MakeCampaign& make,
   const auto t0 = clock::now();
   const CampaignReport serial = make(1, "").sweep(run);
   const auto t1 = clock::now();
-  s.report = s.resumed
-                 ? make(opts.workers, "").resume(run, s.journal, &s.resume)
-                 : make(opts.workers, s.journal).sweep(run);
+  try {
+    s.report = s.resumed
+                   ? make(opts.workers, "").resume(run, s.journal, &s.resume)
+                   : make(opts.workers, s.journal).sweep(run);
+  } catch (const std::invalid_argument& e) {  // resume(): foreign journal
+    std::fprintf(stderr, "refusing to resume from %s: %s\n",
+                 s.journal.c_str(), e.what());
+    return std::nullopt;
+  }
   const auto t2 = clock::now();
 
   s.serial_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -244,20 +249,21 @@ int campaign_main(int argc, const char* const* argv, const CampaignMain& m) {
     }
     return campaign;
   };
-  const Sweep s = sweep(opts, make, m.run);
+  const std::optional<Sweep> s = sweep(opts, make, m.run);
+  if (!s) return 2;
   std::printf("sweep wall-clock: serial %.0f ms, %zu workers %.0f ms "
               "(speedup %.2fx), reports identical: %s\n",
-              s.serial_ms, opts.workers, s.parallel_ms,
-              s.parallel_ms > 0.0 ? s.serial_ms / s.parallel_ms : 0.0,
-              s.identical ? "yes" : "NO");
-  print_journal(s);
+              s->serial_ms, opts.workers, s->parallel_ms,
+              s->parallel_ms > 0.0 ? s->serial_ms / s->parallel_ms : 0.0,
+              s->identical ? "yes" : "NO");
+  print_journal(*s);
   std::printf("\n");
-  print_report(s.report, config.base_seed);
-  if (opts.trace_failing) write_failing_traces(s.report);
-  if (!opts.trace.empty() && !write_trace(s.report, m.run, opts.trace)) {
+  print_report(s->report, config.base_seed);
+  if (opts.trace_failing) write_failing_traces(s->report);
+  if (!opts.trace.empty() && !write_trace(s->report, m.run, opts.trace)) {
     return 1;
   }
-  return s.report.all_passed() && s.identical ? 0 : 1;
+  return s->report.all_passed() && s->identical ? 0 : 1;
 }
 
 }  // namespace avsec::fault::cli

@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +29,10 @@ struct Options {
 
 /// Usage lines for the shared flags that take a value.
 const char* flag_help();
+
+/// A whole decimal number: no sign, no whitespace, no trailing bytes, no
+/// overflow. The one numeric argv check of every campaign and serve binary.
+bool parse_u64(const std::string& text, std::uint64_t& out);
 
 /// Pulls the shared flags out of argv[1..argc). Returns "" on success,
 /// else why argv is refused.
@@ -53,10 +59,12 @@ struct Sweep {
 
 /// Sweeps make(1, "") serially, then make(opts.workers, ...) fresh
 /// (journaled to opts.manifest) or resumed from opts.resume, with
-/// `journal_suffix` appended to either path.
-Sweep sweep(const Options& opts, const MakeCampaign& make,
-            const Campaign::CtxRunFn& run,
-            const std::string& journal_suffix = "");
+/// `journal_suffix` appended to either path. Returns nullopt, naming the
+/// journal and the reason on stderr, when the journal to resume belongs
+/// to another campaign.
+std::optional<Sweep> sweep(const Options& opts, const MakeCampaign& make,
+                           const Campaign::CtxRunFn& run,
+                           const std::string& journal_suffix = "");
 
 /// Prints where the sweep journaled to, or what the resume loaded.
 void print_journal(const Sweep& s);
@@ -76,8 +84,8 @@ struct CampaignMain {
 };
 
 /// A whole campaign binary: parse, sweep, print, dump, replay. Returns 0
-/// when every invariant held and the reports matched, 2 when argv is
-/// refused, else 1.
+/// when every invariant held and the reports matched, 2 when argv or the
+/// journal to resume is refused, else 1.
 int campaign_main(int argc, const char* const* argv, const CampaignMain& m);
 
 }  // namespace avsec::fault::cli

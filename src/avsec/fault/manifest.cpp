@@ -15,6 +15,9 @@
 namespace avsec::fault {
 namespace {
 
+// Run lines appended between fsyncs of the journal.
+constexpr std::size_t kFsyncEvery = 8;
+
 // --- serialization -------------------------------------------------------
 //
 // Every numeric field round-trips bit-exactly: u64s (seeds) print as
@@ -368,15 +371,13 @@ ManifestData read_manifest(const std::string& path) {
 ManifestWriter::~ManifestWriter() { close(); }
 
 bool ManifestWriter::open_fresh(const std::string& path,
-                                const ManifestHeader& header,
-                                std::size_t fsync_chunk) {
+                                const ManifestHeader& header) {
   close();
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
   if (fd < 0) return false;
   core::MutexLock lock(mu_);
   fd_ = fd;
-  fsync_chunk_ = fsync_chunk == 0 ? 1 : fsync_chunk;
   unsynced_ = 0;
   write_line(manifest_header_line(header));
   // The header is the file's identity — make it durable immediately so a
@@ -385,8 +386,7 @@ bool ManifestWriter::open_fresh(const std::string& path,
   return fd_ >= 0;
 }
 
-bool ManifestWriter::open_append(const std::string& path,
-                                 std::size_t fsync_chunk) {
+bool ManifestWriter::open_append(const std::string& path) {
   close();
   const int fd = ::open(path.c_str(), O_RDWR | O_APPEND);
   if (fd < 0) return false;
@@ -406,20 +406,18 @@ bool ManifestWriter::open_append(const std::string& path,
   }
   core::MutexLock lock(mu_);
   fd_ = fd;
-  fsync_chunk_ = fsync_chunk == 0 ? 1 : fsync_chunk;
   unsynced_ = 0;
   return true;
 }
 
 bool ManifestWriter::open_append(const std::string& path,
-                                 const ManifestHeader& expected,
-                                 std::size_t fsync_chunk) {
+                                 const ManifestHeader& expected) {
   // Re-read right before opening: a zero-byte file, a header-only file
   // with the wrong identity, or a header swapped in since the caller last
   // looked must all be refused rather than silently adopted.
   const ManifestData data = read_manifest(path);
   if (!data.header_ok || !(data.header == expected)) return false;
-  return open_append(path, fsync_chunk);
+  return open_append(path);
 }
 
 bool ManifestWriter::valid() const {
@@ -434,7 +432,7 @@ void ManifestWriter::append(std::size_t index, const RunOutcome& o) {
   core::MutexLock lock(mu_);
   if (fd_ < 0) return;
   write_line(line);
-  if (++unsynced_ >= fsync_chunk_ && fd_ >= 0) {
+  if (++unsynced_ >= kFsyncEvery && fd_ >= 0) {
     ::fsync(fd_);
     unsynced_ = 0;
   }

@@ -12,9 +12,9 @@
 // resumed report compare `fault::identical` to an uninterrupted sweep.
 //
 // Writes are append-only: one write(2) per line on an O_APPEND fd, with
-// an fsync every `fsync_chunk` lines and on close. Readers keep the last
-// valid line per run index, so a re-executed run simply appends a
-// superseding record — no in-place rewriting, ever.
+// an fsync every 8 lines and on close. Readers keep the last valid line
+// per run index, so a re-executed run simply appends a superseding
+// record — no in-place rewriting, ever.
 #pragma once
 
 #include <cstddef>
@@ -76,35 +76,31 @@ class ManifestWriter {
 
   /// Truncates/creates `path` and writes the header line. False on I/O
   /// failure (the writer is left invalid; appends become no-ops).
-  bool open_fresh(const std::string& path, const ManifestHeader& header,
-                  std::size_t fsync_chunk = 8);
+  bool open_fresh(const std::string& path, const ManifestHeader& header);
 
   /// Opens `path` for appending run lines after resume() validated its
   /// header. False on I/O failure.
-  bool open_append(const std::string& path, std::size_t fsync_chunk = 8);
+  bool open_append(const std::string& path);
 
   /// Validated append: re-reads the manifest immediately before opening
   /// and refuses (returns false, writer stays invalid, file untouched)
   /// unless the on-disk header parses and equals `expected`. Appending to
   /// a manifest whose header drifted between validation and open would
   /// adopt another campaign's journal — this overload closes that window.
-  bool open_append(const std::string& path, const ManifestHeader& expected,
-                   std::size_t fsync_chunk = 8);
+  bool open_append(const std::string& path, const ManifestHeader& expected);
 
   bool valid() const;
 
-  /// Appends one completed run's line; fsyncs every `fsync_chunk` lines.
+  /// Appends one completed run's line; fsyncs every 8 lines.
   void append(std::size_t index, const RunOutcome& o);
 
   /// Final fsync + close. Safe to call twice; the destructor calls it.
   void close();
-
  private:
   void write_line(const std::string& line) AVSEC_REQUIRES(mu_);
 
   mutable core::Mutex mu_;
   int fd_ AVSEC_GUARDED_BY(mu_) = -1;
-  std::size_t fsync_chunk_ AVSEC_GUARDED_BY(mu_) = 8;
   std::size_t unsynced_ AVSEC_GUARDED_BY(mu_) = 0;
 };
 

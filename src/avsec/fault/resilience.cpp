@@ -1,7 +1,12 @@
 #include "avsec/fault/resilience.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <exception>
 #include <string>
+#include <thread>
+
+#include "avsec/obs/trace.hpp"
 
 namespace avsec::fault {
 namespace {
@@ -21,6 +26,9 @@ std::int64_t wall_now_ns() {
 // trip a deadline within microseconds of real work, rare enough that the
 // clock read never shows up in profiles.
 constexpr std::uint64_t kWallPollStride = 512;
+
+// Hard cap on the wall-clock sleep between attempts of a failing run.
+constexpr std::int64_t kMaxBackoffNs = 250'000'000;
 
 thread_local RunGuard* tl_guard = nullptr;
 
@@ -104,6 +112,50 @@ RunGuard* install_guard(RunGuard* g) {
 
 void supervise(core::Scheduler& sim) {
   if (tl_guard != nullptr) tl_guard->attach(sim);
+}
+
+SupervisedRun run_supervised(const SupervisionConfig& sup, SimContext& ctx,
+                             bool trace,
+                             const std::function<Metrics(SimContext&)>& run) {
+  SupervisedRun r;
+  const int max_attempts = std::max(sup.retry.max_retries, 0) + 1;
+  for (int attempt = 0;; ++attempt) {
+    r.attempts = static_cast<std::uint32_t>(attempt + 1);
+    try {
+      RunGuard guard(sup);
+      GuardScope scope(guard);  // the scenario's supervise(sim) finds it
+      // Every attempt, retries included, starts from the reset-determinism
+      // baseline: scheduler and arena rewound, recorder emptied.
+      ctx.reset();
+      if (trace) {
+        obs::TraceScope ts(ctx.recorder());
+        r.metrics = run(ctx);
+      } else {
+        r.metrics = run(ctx);
+      }
+      r.status = RunStatus::kPassed;
+      r.error.clear();
+      return r;
+    } catch (const RunAborted& e) {
+      r.status = e.kind();
+      r.error = e.what();
+    } catch (const std::exception& e) {
+      r.status = RunStatus::kCrashed;
+      r.error = e.what();
+    } catch (...) {
+      r.status = RunStatus::kCrashed;
+      r.error = "unknown exception";
+    }
+    r.metrics.clear();
+    if (attempt + 1 >= max_attempts) return r;  // quarantined
+    // The backoff paces retries and never touches the result, so it may
+    // be wall-clock: RetryPolicy's SimTime (picoseconds) read as a pause.
+    const std::int64_t pause_ns =
+        std::min(sup.retry.timeout_for(attempt) / 1000, kMaxBackoffNs);
+    if (pause_ns > 0) {
+      std::this_thread::sleep_for(std::chrono::nanoseconds(pause_ns));
+    }
+  }
 }
 
 }  // namespace avsec::fault

@@ -1,32 +1,40 @@
-// Run-level supervision for campaign sweeps (paper §VIII: a system that
-// demonstrates graceful degradation should itself degrade gracefully).
+// Run-level supervision for campaign sweeps and serve requests (paper
+// §VIII: a system that demonstrates graceful degradation should itself
+// degrade gracefully).
 //
-// The campaign engine treats every scenario run as an untrusted unit of
-// work: a RunGuard wraps the run with a sim-time event budget (a wedged
-// scheduler loop becomes a structured outcome, not a hung sweep) and an
-// optional wall-clock deadline, exceptions become RunOutcome{kCrashed}
-// records instead of aborting the sweep, transiently-failing runs are
-// retried on a core::RetryPolicy backoff schedule, and seeds that fail
+// Campaign sweeps and serve requests treat every scenario run as an
+// untrusted unit of work, and both execute it through run_supervised(),
+// the one retry loop: a RunGuard wraps each attempt with a sim-time event
+// budget (a wedged scheduler loop becomes a structured outcome, not a hung
+// sweep) and an optional wall-clock deadline, exceptions become crash-
+// family statuses instead of aborting the caller, transiently-failing runs
+// are retried on a core::RetryPolicy backoff schedule, and seeds that fail
 // every allowed attempt are quarantined — enumerated in the report, never
 // silently dropped.
 //
 // The guard reaches the scenario's private Scheduler through the same
-// ambient-install idiom as obs::TraceScope: the campaign installs the
-// guard thread-locally around the run, and the scenario opts in with one
-// line — fault::supervise(sim) — after building its scheduler. The guard
-// stacks on top of whatever DispatchObserver is already installed (e.g.
-// an obs::SchedulerTracer), so supervision and tracing compose.
+// ambient-install idiom as obs::TraceScope: run_supervised() installs the
+// guard thread-locally around each attempt, and the scenario opts in with
+// one line — fault::supervise(sim) — after building its scheduler. The
+// guard stacks on top of whatever DispatchObserver is already installed
+// (e.g. an obs::SchedulerTracer), so supervision and tracing compose.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "avsec/core/retry.hpp"
 #include "avsec/core/scheduler.hpp"
+#include "avsec/fault/context.hpp"
 
 namespace avsec::fault {
+
+/// Named scalar results of one scenario run.
+using Metrics = std::map<std::string, double>;
 
 /// Terminal classification of one campaign run. The first two mean the
 /// run produced metrics; the rest mean the seed is quarantined (it failed
@@ -51,11 +59,9 @@ inline bool is_quarantined(RunStatus s) {
          s == RunStatus::kBudgetExhausted;
 }
 
-/// Per-run supervision policy for a campaign sweep. Disabled by default:
-/// an unsupervised sweep is byte-for-byte the pre-resilience engine (an
-/// exception aborts the sweep and propagates).
+/// Per-run supervision policy: every campaign and serve run executes
+/// under it.
 struct SupervisionConfig {
-  bool enabled = false;
   /// Sim-time event budget per attempt: the run is aborted with
   /// kBudgetExhausted after dispatching this many scheduler events.
   /// 0 = unlimited. Deterministic (a pure function of the seed).
@@ -67,20 +73,18 @@ struct SupervisionConfig {
   std::int64_t wall_deadline_ms = 0;
   /// Backoff schedule between attempts of a failing run. The policy's
   /// SimTime fields are read as wall-clock durations here (a retry sleeps
-  /// timeout_for(attempt) on the worker thread, capped below);
+  /// timeout_for(attempt) on the worker thread, capped at 250 ms);
   /// retry.max_retries is the N in "quarantine after N retries".
   core::RetryPolicy retry = {/*initial_timeout=*/core::milliseconds(1),
                              /*backoff_factor=*/2.0,
                              /*max_timeout=*/core::milliseconds(100),
                              /*jitter=*/0.0,
                              /*max_retries=*/1};
-  /// Hard cap on the wall-clock sleep between attempts, milliseconds.
-  std::int64_t max_backoff_ms = 250;
 };
 
-/// Thrown out of the scenario by the guard when a budget trips. The
-/// campaign catches it and records the structured status; scenarios that
-/// swallow exceptions wholesale should let this one through.
+/// Thrown out of the scenario by the guard when a budget trips.
+/// run_supervised() catches it and records the structured status;
+/// scenarios that swallow exceptions wholesale should let this one through.
 class RunAborted : public std::runtime_error {
  public:
   RunAborted(RunStatus kind, const std::string& what)
@@ -125,9 +129,10 @@ class RunGuard : public core::Scheduler::DispatchObserver {
 
 // --- ambient per-thread guard -------------------------------------------
 //
-// Mirrors the obs ambient-recorder idiom: the campaign installs the guard
-// around the run on the worker thread; the scenario's supervise(sim) call
-// attaches it to the world's scheduler without the run signature changing.
+// Mirrors the obs ambient-recorder idiom: run_supervised() installs the
+// guard around each attempt on the worker thread; the scenario's
+// supervise(sim) call attaches it to the world's scheduler without the run
+// signature changing.
 
 /// The guard supervising the current thread's run (nullptr = none).
 RunGuard* current_guard();
@@ -148,8 +153,29 @@ class GuardScope {
 };
 
 /// Scenario opt-in: attaches the ambient RunGuard (if any) to `sim`.
-/// No-op outside a supervised campaign run, so scenarios stay runnable
-/// standalone. Call it once per scheduler, after construction.
+/// No-op outside a supervised run, so scenarios stay runnable standalone.
+/// Call it once per scheduler, after construction.
 void supervise(core::Scheduler& sim);
+
+/// How a supervised run ended.
+struct SupervisedRun {
+  Metrics metrics;  // the completed attempt's; empty when quarantined
+  /// kPassed when an attempt completed, else the last attempt's
+  /// crash-family status (the seed is quarantined).
+  RunStatus status = RunStatus::kPassed;
+  std::uint32_t attempts = 0;  // 1 = first try; > 1 means retried
+  std::string error;           // what() of the last failing attempt
+};
+
+/// The retry loop every campaign and serve run goes through. Each attempt
+/// resets `ctx`, installs a fresh RunGuard(sup) as the ambient guard and,
+/// with `trace`, ctx.recorder() as the ambient recorder, then calls
+/// run(ctx). A throw ends the attempt with a crash-family status; the loop
+/// sleeps the retry policy's backoff and tries again, up to
+/// retry.max_retries + 1 attempts. Never throws. After a completed
+/// attempt, ctx.recorder() holds that attempt's trace.
+SupervisedRun run_supervised(const SupervisionConfig& sup, SimContext& ctx,
+                             bool trace,
+                             const std::function<Metrics(SimContext&)>& run);
 
 }  // namespace avsec::fault

@@ -805,7 +805,6 @@ fault::CampaignConfig CompiledScenario::campaign_config(
   cfg.runs = spec_.runs;
   cfg.base_seed = spec_.seed;
   cfg.workers = workers;
-  cfg.supervision.enabled = true;
   cfg.supervision.max_events = 20'000'000;
   return cfg;
 }

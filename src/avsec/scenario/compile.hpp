@@ -67,8 +67,8 @@ class CompiledScenario {
                      serve::Scale scale = serve::Scale::kFull) const;
 
   /// Campaign over the spec's runs/seed with one invariant per oracle
-  /// (named by the oracle's canonical text) and supervision enabled;
-  /// journals its sweeps to `manifest_path` when that is non-empty.
+  /// (named by the oracle's canonical text) and a 20M-event budget per
+  /// run; journals its sweeps to `manifest_path` when that is non-empty.
   fault::Campaign campaign(std::size_t workers = 1,
                            const std::string& manifest_path = "") const;
   fault::CampaignConfig campaign_config(std::size_t workers = 1) const;

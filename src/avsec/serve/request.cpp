@@ -1,8 +1,9 @@
 #include "avsec/serve/request.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
 namespace avsec::serve {
 namespace {
@@ -124,6 +125,10 @@ std::string render_reply(const Reply& r) {
 
 namespace {
 
+// The largest deadline_ms accepted: its nanosecond form takes at most half
+// of int64, so the RunGuard's steady-clock now + deadline cannot overflow.
+constexpr std::uint64_t kMaxDeadlineMs = INT64_MAX / 2'000'000;
+
 // Minimal scanner for the daemon's flat request objects. Not a general
 // JSON parser: it handles one object of scalar / flat-array fields, which
 // is the entire request schema, and rejects anything else with a message.
@@ -154,15 +159,13 @@ class RequestScanner {
       } else if (key == "seeds") {
         if (!parse_seed_array(out.seeds, error)) return false;
       } else if (key == "deadline_ms") {
-        if (!parse_int(out.deadline_ms, error)) return false;
+        std::uint64_t v = 0;
+        if (!parse_count(key, kMaxDeadlineMs, v, error)) return false;
+        out.deadline_ms = static_cast<std::int64_t>(v);
       } else if (key == "max_events") {
-        std::int64_t v = 0;
-        if (!parse_int(v, error)) return false;
-        if (v < 0) {
-          error = "max_events must be non-negative";
+        if (!parse_count(key, UINT64_MAX, out.max_events, error)) {
           return false;
         }
-        out.max_events = static_cast<std::uint64_t>(v);
       } else if (key == "trace") {
         if (!parse_bool(out.trace, error)) return false;
       } else if (!skip_value(error)) {  // unknown keys tolerated
@@ -231,22 +234,7 @@ class RequestScanner {
     return expect('"', error);
   }
 
-  bool parse_int(std::int64_t& out, std::string& error) {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ == start || (s_[start] == '-' && pos_ == start + 1)) {
-      error = "expected an integer at byte " + std::to_string(start);
-      return false;
-    }
-    out = std::strtoll(std::string(s_.substr(start, pos_ - start)).c_str(),
-                       nullptr, 10);
-    return true;
-  }
-
+  // Digits only. A value outside uint64 is refused, never clamped.
   bool parse_u64(std::uint64_t& out, std::string& error) {
     const std::size_t start = pos_;
     while (pos_ < s_.size() &&
@@ -257,8 +245,28 @@ class RequestScanner {
       error = "expected an unsigned integer at byte " + std::to_string(start);
       return false;
     }
-    out = std::strtoull(std::string(s_.substr(start, pos_ - start)).c_str(),
-                        nullptr, 10);
+    const char* last = s_.data() + pos_;
+    const auto [ptr, ec] = std::from_chars(s_.data() + start, last, out);
+    if (ec != std::errc() || ptr != last) {
+      error = "integer out of range at byte " + std::to_string(start);
+      return false;
+    }
+    return true;
+  }
+
+  // A non-negative integer field no larger than `max`.
+  bool parse_count(const std::string& key, std::uint64_t max,
+                   std::uint64_t& out, std::string& error) {
+    const std::size_t start = pos_;
+    if (peek() == '-') {
+      error = key + " must be non-negative at byte " + std::to_string(start);
+      return false;
+    }
+    if (!parse_u64(out, error)) return false;
+    if (out > max) {
+      error = key + " out of range at byte " + std::to_string(start);
+      return false;
+    }
     return true;
   }
 
@@ -304,7 +312,7 @@ class RequestScanner {
   bool skip_value(std::string& error) {
     std::string sink_s;
     bool sink_b = false;
-    std::int64_t sink_i = 0;
+    std::uint64_t sink_u = 0;
     if (peek() == '"') return parse_string(sink_s, error);
     if (peek() == 't' || peek() == 'f') return parse_bool(sink_b, error);
     if (peek() == '[') {
@@ -326,7 +334,8 @@ class RequestScanner {
       }
       return expect(']', error);
     }
-    return parse_int(sink_i, error);
+    if (peek() == '-') ++pos_;
+    return parse_u64(sink_u, error);
   }
 
   std::string_view s_;

@@ -26,12 +26,15 @@ std::int64_t wall_now_ns() {
       .count();
 }
 
+// EWMA smoothing for the per-scenario wall-cost estimate workers feed
+// back after each job (used by load-aware admission).
+constexpr double kEwmaAlpha = 0.2;
+
 ServerConfig sanitize(ServerConfig c) {
   if (c.workers == 0) c.workers = 1;
   if (c.queue_capacity == 0) c.queue_capacity = 1;
   if (c.supervisor_poll_ms <= 0) c.supervisor_poll_ms = 1;
   if (c.worker_stall_polls < 2) c.worker_stall_polls = 2;
-  c.supervision.enabled = true;
   return c;
 }
 
@@ -269,54 +272,21 @@ void Server::run_seed(WorkerSlot& slot, const Job& job,
                       std::int64_t remaining_ms, SeedOutcome& out,
                       std::string* trace_dump) {
   fault::SupervisionConfig sup = config_.supervision;
-  sup.enabled = true;
   sup.max_events = job.max_events;
   sup.wall_deadline_ms = remaining_ms > 0 ? remaining_ms : 0;
-  const int max_attempts = std::max(sup.retry.max_retries, 0) + 1;
   // Every attempt runs on the slot's warm context, reset first: the
   // arena-backed scheduler, and for traced seeds the slot recorder instead
   // of a ~1 MiB ring per seed.
-  fault::SimContext& ctx = slot.ctx;
-  const auto run_once = [&] {
-    ctx.reset();
-    return job.scenario->run_ctx(ctx, out.seed, job.scale);
-  };
-  for (int attempt = 0;; ++attempt) {
-    try {
-      fault::RunGuard guard(sup);
-      fault::GuardScope scope(guard);
-      if (trace_dump != nullptr) {
-        {
-          obs::TraceScope ts(ctx.recorder());
-          out.metrics = run_once();
-        }
-        *trace_dump = obs::text_dump(ctx.recorder());
-      } else {
-        out.metrics = run_once();
-      }
-      out.status = fault::RunStatus::kPassed;
-      out.error.clear();
-      out.attempts = static_cast<std::uint32_t>(attempt + 1);
-      return;
-    } catch (const fault::RunAborted& e) {
-      out.status = e.kind();
-      out.error = e.what();
-    } catch (const std::exception& e) {
-      out.status = fault::RunStatus::kCrashed;
-      out.error = e.what();
-    } catch (...) {
-      out.status = fault::RunStatus::kCrashed;
-      out.error = "unknown exception";
-    }
-    out.metrics.clear();
-    out.attempts = static_cast<std::uint32_t>(attempt + 1);
-    if (attempt + 1 >= max_attempts) return;  // quarantined
-    std::int64_t pause_ns = sup.retry.timeout_for(attempt) / 1000;
-    const std::int64_t cap_ns = sup.max_backoff_ms * 1'000'000;
-    if (cap_ns > 0) pause_ns = std::min(pause_ns, cap_ns);
-    if (pause_ns > 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(pause_ns));
-    }
+  fault::SupervisedRun r = fault::run_supervised(
+      sup, slot.ctx, trace_dump != nullptr, [&](fault::SimContext& ctx) {
+        return job.scenario->run_ctx(ctx, out.seed, job.scale);
+      });
+  out.status = r.status;
+  out.attempts = r.attempts;
+  out.error = std::move(r.error);
+  out.metrics = std::move(r.metrics);
+  if (trace_dump != nullptr && !fault::is_quarantined(out.status)) {
+    *trace_dump = obs::text_dump(slot.ctx.recorder());
   }
 }
 
@@ -415,7 +385,7 @@ void Server::execute_job(WorkerSlot& slot, Job& job) {
         static_cast<double>(wall_now_ns() - job_start_ns) / 1e6;
     const double per_seed = job_ms / static_cast<double>(total_seeds);
     core::MutexLock lock(ewma_mu_);
-    const double a = config_.ewma_alpha;
+    const double a = kEwmaAlpha;
     auto [it, fresh] =
         ewma_ms_per_seed_.try_emplace(job.scenario->name, per_seed);
     if (!fresh) it->second = a * per_seed + (1.0 - a) * it->second;

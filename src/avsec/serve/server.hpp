@@ -28,9 +28,10 @@
 //    deadline expires while queued is answered kExpired without running;
 //    mid-run the remaining budget chains onto the scenario's scheduler as
 //    a fault::RunGuard wall deadline.
-//  - Poison quarantine: runs retry on core::RetryPolicy backoff; a seed
-//    that fails every attempt yields a kQuarantined reply enumerating the
-//    per-seed statuses (mirroring campaign quarantine, never a drop).
+//  - Poison quarantine: every seed runs through fault::run_supervised,
+//    the campaign's retry loop, on core::RetryPolicy backoff; a seed that
+//    fails every attempt yields a kQuarantined reply enumerating the
+//    per-seed statuses (as a campaign quarantines, never a drop).
 //  - Worker supervision: workers heartbeat per job and per seed; a
 //    health::Watchdog per worker slot (sim time = supervisor poll ticks)
 //    declares a silent-but-busy worker wedged, abandons the slot, and
@@ -79,12 +80,9 @@ struct ServerConfig {
   /// replaced.
   int worker_stall_polls = 100;
   /// Per-run supervision defaults (retry/backoff schedule; quarantine
-  /// after retry.max_retries + 1 failed attempts). enabled is forced on;
-  /// max_events / wall_deadline_ms are derived per request.
+  /// after retry.max_retries + 1 failed attempts); max_events /
+  /// wall_deadline_ms are derived per request.
   fault::SupervisionConfig supervision;
-  /// EWMA smoothing for the per-scenario wall-cost estimate workers feed
-  /// back after each job (used by load-aware admission).
-  double ewma_alpha = 0.2;
   /// When > 0, capture every job's first-seed trace and keep it on the
   /// reply (slow_trace) if the job's wall latency exceeded this many
   /// milliseconds — so a slow request can be explained after the fact.

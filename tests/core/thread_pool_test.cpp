@@ -8,7 +8,6 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -88,50 +87,6 @@ TEST(ThreadPool, ForEachIndexPropagatesFirstException) {
       std::runtime_error);
 }
 
-TEST(ThreadPool, DrainModeRunsEveryIndexDespiteManyExceptions) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(200);
-  std::vector<std::exception_ptr> errors;
-  // Every third index throws, concurrently across all workers. Drain mode
-  // must still execute every index exactly once and capture every error
-  // in its own slot.
-  pool.for_each_index(
-      hits.size(),
-      [&](std::size_t i) {
-        hits[i].fetch_add(1);
-        if (i % 3 == 0) {
-          throw std::runtime_error("index " + std::to_string(i));
-        }
-      },
-      &errors);
-  ASSERT_EQ(errors.size(), hits.size());
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-    if (i % 3 == 0) {
-      ASSERT_TRUE(errors[i]) << "index " << i << " error lost";
-      try {
-        std::rethrow_exception(errors[i]);
-      } catch (const std::runtime_error& e) {
-        EXPECT_EQ(std::string(e.what()), "index " + std::to_string(i));
-      }
-    } else {
-      EXPECT_FALSE(errors[i]) << "index " << i << " spurious error";
-    }
-  }
-}
-
-TEST(ThreadPool, DrainModeClearsStaleErrorsBetweenBatches) {
-  ThreadPool pool(2);
-  std::vector<std::exception_ptr> errors;
-  pool.for_each_index(
-      10, [](std::size_t i) { if (i == 4) throw std::runtime_error("x"); },
-      &errors);
-  EXPECT_TRUE(errors[4]);
-  // A clean second batch through the same vector must leave no residue.
-  pool.for_each_index(10, [](std::size_t) {}, &errors);
-  for (const auto& e : errors) EXPECT_FALSE(e);
-}
-
 TEST(ThreadPool, FirstErrorModeStillAbortsWhenManyTasksThrow) {
   ThreadPool pool(4);
   std::atomic<int> executed{0};
@@ -147,22 +102,6 @@ TEST(ThreadPool, FirstErrorModeStillAbortsWhenManyTasksThrow) {
   std::atomic<int> count{0};
   pool.for_each_index(10, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 10);
-}
-
-TEST(ThreadPool, SubmitWithErrorSlotCapturesWithoutPoisoningWait) {
-  ThreadPool pool(2);
-  std::exception_ptr slot;
-  std::atomic<int> count{0};
-  pool.submit([] { throw std::runtime_error("slotted"); }, &slot);
-  pool.submit([&] { count.fetch_add(1); });
-  pool.wait();  // must NOT throw: the error went to the slot
-  EXPECT_EQ(count.load(), 1);
-  ASSERT_TRUE(slot);
-  try {
-    std::rethrow_exception(slot);
-  } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()), "slotted");
-  }
 }
 
 TEST(ThreadPool, DestructorDrainsPendingTasks) {

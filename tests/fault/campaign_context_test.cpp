@@ -114,7 +114,6 @@ TEST(CampaignContext, SupervisedTracedPooledSweepIsByteIdentical) {
   // recorder, emptied by the reset), and fresh vs pooled schedulers. Every
   // combination must emit the same report bytes, traces included.
   CampaignConfig cfg = base_config(12, 1);
-  cfg.supervision.enabled = true;
   cfg.trace = TraceCapture::kAllRuns;
   const auto fresh = make_campaign(cfg).sweep(scenario_plain);
   ASSERT_FALSE(fresh.outcomes.empty());
@@ -136,7 +135,6 @@ TEST(CampaignContext, SupervisedTracedPooledSweepIsByteIdentical) {
 
 TEST(CampaignContext, CrashingRunsQuarantineIdenticallyWhenPooled) {
   CampaignConfig cfg = base_config(15, 1);
-  cfg.supervision.enabled = true;
   cfg.supervision.retry.max_retries = 1;
   cfg.supervision.retry.initial_timeout = 0;
   const auto crashy_plain = [](SimContext& ctx, std::uint64_t seed) -> Metrics {
@@ -225,8 +223,7 @@ TEST(CampaignContext, EveryAttemptStartsFromAResetContext) {
     dirty.store(0);
     CampaignConfig cfg = base_config(8, workers);
     cfg.trace = TraceCapture::kAllRuns;
-    cfg.supervision.enabled = true;
-    cfg.supervision.retry.max_retries = 1;
+      cfg.supervision.retry.max_retries = 1;
     cfg.supervision.retry.initial_timeout = 0;
     const auto report = Campaign(cfg).sweep(leaves_work);
     EXPECT_EQ(attempts.load(), 16) << workers << " workers";

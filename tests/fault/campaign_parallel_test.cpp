@@ -88,13 +88,28 @@ TEST(CampaignParallel, SeedsMatchSeedForRunUnderAnyWorkerCount) {
   }
 }
 
-TEST(CampaignParallel, RunExceptionPropagates) {
-  Campaign c({16, /*base_seed=*/5, /*workers=*/4});
-  EXPECT_THROW(c.sweep([](SimContext&, std::uint64_t seed) -> Metrics {
+TEST(CampaignParallel, RunExceptionBecomesQuarantinedOutcome) {
+  const auto exploding = [](SimContext&, std::uint64_t seed) -> Metrics {
     if (seed % 3 == 0) throw std::runtime_error("scenario exploded");
     return {{"ok", 1.0}};
-  }),
-               std::runtime_error);
+  };
+  CampaignConfig cfg;
+  cfg.runs = 16;
+  cfg.base_seed = 5;
+  const auto serial = Campaign(cfg).sweep(exploding);
+  cfg.workers = 4;
+  const auto parallel = Campaign(cfg).sweep(exploding);
+  EXPECT_TRUE(identical(serial, parallel));
+  std::size_t exploded = 0;
+  for (const auto& o : parallel.outcomes) {
+    if (o.seed % 3 != 0) continue;
+    EXPECT_EQ(o.status, RunStatus::kCrashed);
+    EXPECT_EQ(o.error, "scenario exploded");
+    ++exploded;
+  }
+  EXPECT_GT(exploded, 0u);
+  EXPECT_EQ(parallel.quarantined_runs, exploded);
+  EXPECT_EQ(parallel.runs, 16u);
 }
 
 TEST(CampaignParallel, ScenariosActuallyRunConcurrentSafe) {

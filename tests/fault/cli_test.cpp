@@ -1,7 +1,8 @@
 // The shared campaign command line: strict argv (typos are refused with
 // exit code 2, never run as something else), the --trace replay of a seed
 // the sweep actually ran, refusal of an empty report, failing-run dumps,
-// and the journal/resume round trip through campaign_main.
+// the journal/resume round trip through campaign_main, and refusal of a
+// journal another campaign wrote.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -273,6 +274,22 @@ TEST(CampaignCli, ManifestJournalsAndResumes) {
   EXPECT_EQ(run_main(m, {"--workers", "2", "--manifest", path}), 0);
   ASSERT_TRUE(exists(path));
   EXPECT_EQ(run_main(m, {"--workers", "2", "--resume", path}), 0);
+}
+
+// Resuming another campaign's journal (here: a different run count) is
+// refused with exit code 2, the journal named on stderr, and the journal
+// left as it was.
+TEST(CampaignCli, ForeignJournalIsRefusedWithExitTwo) {
+  const CampaignMain m = tiny_main(false);
+  const std::string path = temp_path("foreign.jsonl");
+  std::remove(path.c_str());
+  ASSERT_EQ(run_main(m, {"--workers", "2", "--manifest", path}), 0);
+  const std::string journal = read_file(path);
+  std::string err;
+  EXPECT_EQ(run_main(m, {"7", "--workers", "2", "--resume", path}, &err), 2);
+  EXPECT_NE(err.find(path), std::string::npos) << err;
+  EXPECT_NE(err.find("does not match"), std::string::npos) << err;
+  EXPECT_EQ(read_file(path), journal);
 }
 
 }  // namespace

@@ -71,7 +71,6 @@ CampaignConfig base_config(std::size_t runs, std::size_t workers) {
   cfg.runs = runs;
   cfg.base_seed = 4242;
   cfg.workers = workers;
-  cfg.manifest_fsync_chunk = 2;
   return cfg;
 }
 
@@ -267,12 +266,11 @@ TEST(Manifest, MissingOrHeaderlessManifestDegradesToFreshSweep) {
 }
 
 TEST(Manifest, QuarantinedRunsAreReexecutedOnResume) {
-  // First sweep: supervision on, seeds ending in certain residues crash
+  // First sweep: seeds ending in certain residues crash
   // -> quarantined records land in the manifest.
   const std::string path = temp_path("quarantine.jsonl");
   CampaignConfig cfg = base_config(10, 1);
   cfg.manifest_path = path;
-  cfg.supervision.enabled = true;
   cfg.supervision.retry.max_retries = 0;
   cfg.supervision.retry.initial_timeout = 0;
   const auto crashy = make_campaign(cfg).sweep([](SimContext& ctx,
@@ -285,7 +283,6 @@ TEST(Manifest, QuarantinedRunsAreReexecutedOnResume) {
   // The environment "recovers": resume re-runs exactly the quarantined
   // seeds and the merged report matches a clean sweep end to end.
   CampaignConfig clean_cfg = base_config(10, 2);
-  clean_cfg.supervision.enabled = true;
   clean_cfg.supervision.retry.max_retries = 0;
   clean_cfg.supervision.retry.initial_timeout = 0;
   const auto reference = make_campaign(clean_cfg).sweep(scenario);

@@ -53,7 +53,6 @@ CampaignConfig supervised_config(std::size_t runs, std::size_t workers) {
   cfg.runs = runs;
   cfg.base_seed = 99;
   cfg.workers = workers;
-  cfg.supervision.enabled = true;
   cfg.supervision.max_events = 5000;  // plenty for 1 ms of 50 us ticks
   cfg.supervision.retry.max_retries = 1;
   cfg.supervision.retry.initial_timeout = 0;  // no backoff pause in tests
@@ -157,18 +156,37 @@ TEST(Resilience, WallDeadlineAbortsWedgedRun) {
   EXPECT_EQ(report.quarantined_runs, 1u);
 }
 
-TEST(Resilience, UnsupervisedSweepStillPropagates) {
-  // Supervision off (the default) preserves the original contract.
+TEST(Resilience, DefaultSweepQuarantinesThrowingRuns) {
+  // Supervision is not optional: under a default config a throwing run is
+  // a quarantined kCrashed outcome, never a throw out of sweep(), and the
+  // report is the same at any worker count.
+  const auto throwing = [](SimContext&, std::uint64_t seed) -> Metrics {
+    if (seed % 2 == 0) throw std::runtime_error("boom");
+    return {{"ok", 1.0}};
+  };
   CampaignConfig cfg;
   cfg.runs = 8;
   cfg.base_seed = 3;
-  cfg.workers = 2;
-  Campaign c(cfg);
-  EXPECT_THROW(c.sweep([](SimContext&, std::uint64_t seed) -> Metrics {
-    if (seed % 2 == 0) throw std::runtime_error("boom");
-    return {{"ok", 1.0}};
-  }),
-               std::runtime_error);
+  const auto serial = Campaign(cfg).sweep(throwing);
+  cfg.workers = 4;
+  const auto parallel = Campaign(cfg).sweep(throwing);
+  EXPECT_TRUE(identical(serial, parallel));
+
+  std::size_t crashed = 0;
+  for (const auto& o : serial.outcomes) {
+    if (o.seed % 2 != 0) {
+      EXPECT_EQ(o.status, RunStatus::kPassed);
+      continue;
+    }
+    EXPECT_EQ(o.status, RunStatus::kCrashed);
+    EXPECT_EQ(o.error, "boom");
+    EXPECT_TRUE(o.metrics.empty());
+    EXPECT_EQ(o.attempts, 2u);  // the default policy retries once
+    ++crashed;
+  }
+  EXPECT_GT(crashed, 0u);
+  EXPECT_EQ(serial.quarantined_runs, crashed);
+  EXPECT_EQ(serial.quarantined_seeds().size(), crashed);
 }
 
 TEST(Resilience, SuperviseIsNoOpOutsideCampaign) {

@@ -109,6 +109,30 @@ TEST(ParseRequest, RejectsMalformedInput) {
   EXPECT_FALSE(parse_request(R"({"scenario":"x"} trailing)", req, error));
   EXPECT_FALSE(parse_request(R"({"scenario":"x","max_events":-1})", req,
                              error));
+  EXPECT_NE(error.find("byte"), std::string::npos) << error;
+  // Out-of-range numbers are refused with the byte they start at, never
+  // clamped: a seed one past uint64 must not be served as UINT64_MAX, and
+  // a negative deadline must not mean "no deadline".
+  for (const char* line : {
+           R"({"scenario":"poison-crash","seeds":[18446744073709551616]})",
+           R"({"scenario":"poison-crash","seeds":[99999999999999999999999]})",
+           R"({"scenario":"x","seeds":[1,18446744073709551616]})",
+           R"({"scenario":"x","deadline_ms":-5})",
+           R"({"scenario":"x","deadline_ms":9223372036854775807})",
+           R"({"scenario":"x","max_events":18446744073709551616})",
+       }) {
+    EXPECT_FALSE(parse_request(line, req, error)) << line;
+    EXPECT_NE(error.find("byte"), std::string::npos) << line << ": " << error;
+  }
+  // The largest seed and budget still parse, exactly.
+  ASSERT_TRUE(parse_request(
+      R"({"scenario":"x","seeds":[18446744073709551615],)"
+      R"("max_events":18446744073709551615,"deadline_ms":0})",
+      req, error))
+      << error;
+  EXPECT_EQ(req.seeds, std::vector<std::uint64_t>{18446744073709551615u});
+  EXPECT_EQ(req.max_events, 18446744073709551615u);
+  EXPECT_EQ(req.deadline_ms, 0);
 }
 
 TEST(ParseRequest, ErrorsCarryBytePositions) {

@@ -427,4 +427,52 @@ TEST(ServerTracing, RequestedTraceIsAttachedAndRendered) {
   EXPECT_NE(render_reply(r).find("\"trace\":"), std::string::npos);
 }
 
+// One trace instant, then a wall-clock nap of `seed` milliseconds.
+Scenario traced_napper() {
+  Scenario s;
+  s.name = "traced-napper";
+  s.description = "test: one trace instant, then naps seed ms";
+  s.run_ctx = [](fault::SimContext& ctx, std::uint64_t seed, Scale) {
+    core::Scheduler& sim = ctx.sim();
+    sim.schedule_at(0, [&] {
+      AVSEC_TRACE_INSTANT(avsec::obs::Category::kFault, "nap", 0, sim.now(),
+                          static_cast<std::int64_t>(seed));
+    });
+    sim.run();
+    std::this_thread::sleep_for(std::chrono::milliseconds(seed));
+    fault::Metrics m;
+    m["nap_ms"] = static_cast<double>(seed);
+    return m;
+  };
+  s.cost_hint_ms_per_seed = 0.0;
+  s.default_max_events = 0;
+  return s;
+}
+
+TEST(ServerTracing, SlowReplyKeepsItsFirstSeedTrace) {
+  // With slow_trace_ms set, a reply slower than the threshold carries its
+  // first seed's trace in slow_trace and a faster one carries none; the
+  // rendered reply is the same bytes either way, and as with it off.
+  const auto call = [](std::int64_t slow_trace_ms, std::uint64_t nap_ms) {
+    ScenarioRegistry reg;
+    reg.add(traced_napper());
+    ServerConfig config = quiet_config();
+    config.slow_trace_ms = slow_trace_ms;
+    Server server(std::move(reg), config);
+    return ServeClient(server).call({"traced-napper", {nap_ms}});
+  };
+  const Reply slow = call(/*slow_trace_ms=*/20, /*nap_ms=*/60);
+  EXPECT_EQ(slow.status, ReplyStatus::kOk);
+  EXPECT_GE(slow.latency_ms, 20.0);
+  EXPECT_NE(slow.slow_trace.find("nap"), std::string::npos);
+  EXPECT_TRUE(slow.trace.empty());  // the request asked for none
+
+  const Reply fast = call(/*slow_trace_ms=*/10'000, /*nap_ms=*/0);
+  EXPECT_EQ(fast.status, ReplyStatus::kOk);
+  EXPECT_TRUE(fast.slow_trace.empty());
+
+  EXPECT_EQ(render_reply(slow), render_reply(call(0, 60)));
+  EXPECT_EQ(render_reply(fast), render_reply(call(0, 0)));
+}
+
 }  // namespace
