@@ -9,6 +9,7 @@
 //   example_scenario_run --generate 8 --seed 42    # sample the matrix
 //   example_scenario_run --generate 20 --emit dir  # write .avsc files
 //   example_scenario_run --coverage cov.txt s/*.avsc
+//   example_scenario_run --reports REPORTS.txt s/*.avsc
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +37,8 @@ int usage(const char* argv0) {
                "  --smoke          run at smoke scale (horizon/5)\n"
                "  --coverage FILE  write coverage report (text, or JSON for "
                "*.json; '-' = stdout)\n"
+               "  --reports FILE   write one report digest line per scenario "
+               "('-' = stdout)\n"
                "%s"
                "With several scenarios, scenario n journals to FILE.<n>, "
                "and the trace replays\nthe first scenario.\n",
@@ -75,6 +78,7 @@ int main(int argc, char** argv) {
   bool list_only = false;
   bool smoke = false;
   const char* coverage_path = nullptr;
+  const char* reports_path = nullptr;
   std::vector<std::string> files;
   const std::vector<std::string>& args = opts.rest;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -93,6 +97,8 @@ int main(int argc, char** argv) {
       smoke = true;
     } else if (arg == "--coverage" && has_value) {
       coverage_path = args[++i].c_str();
+    } else if (arg == "--reports" && has_value) {
+      reports_path = args[++i].c_str();
     } else if (arg[0] == '-') {
       return usage(argv[0]);
     } else {
@@ -182,6 +188,7 @@ int main(int argc, char** argv) {
   bool all_passed = true;
   bool all_identical = true;
   bool trace_ok = true;
+  std::string reports;
   for (std::size_t index = 0; index < scenarios.size(); ++index) {
     const scenario::CompiledScenario& s = scenarios[index];
     const auto run = [&s, scale](fault::SimContext& ctx, std::uint64_t seed) {
@@ -198,6 +205,7 @@ int main(int argc, char** argv) {
     const bool passed = report.all_passed();
     all_passed &= passed;
     all_identical &= sw->identical;
+    reports += scenario::report_digest_line(s.spec().name, report);
     std::printf("%-44s %5zu %8.1f %6s %s\n", s.spec().name.c_str(),
                 report.runs, sw->parallel_ms, sw->identical ? "yes" : "NO",
                 passed ? "pass" : "FAIL");
@@ -214,6 +222,18 @@ int main(int argc, char** argv) {
     if (sw->resumed) fault::cli::print_journal(*sw);
     if (index == 0 && !opts.trace.empty()) {
       trace_ok = fault::cli::write_trace(report, run, opts.trace);
+    }
+  }
+
+  if (reports_path != nullptr) {
+    if (std::strcmp(reports_path, "-") == 0) {
+      std::fputs(reports.c_str(), stdout);
+    } else if (!write_file(reports_path, reports)) {
+      std::fprintf(stderr, "cannot write %s\n", reports_path);
+      return 2;
+    } else {
+      std::printf("report digests (%zu scenarios) -> %s\n", scenarios.size(),
+                  reports_path);
     }
   }
 

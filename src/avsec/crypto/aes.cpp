@@ -31,6 +31,49 @@ constexpr std::uint8_t kSbox[256] = {
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f,
     0xb0, 0x54, 0xbb, 0x16};
 
+constexpr std::uint8_t xtime(std::uint8_t x) {
+  return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) * 0x1B));
+}
+
+constexpr std::uint32_t rotr8(std::uint32_t w) { return (w >> 8) | (w << 24); }
+
+/// Encryption T-tables: kTe[0][x] is the MixColumns column of S(x) in row
+/// 0, (2·S, S, S, 3·S) big-endian; kTe[r] is kTe[0] rotated right 8r bits
+/// for row r. One round is 16 lookups and 16 XORs.
+struct TeTables {
+  std::uint32_t t[4][256];
+};
+
+constexpr TeTables make_te() {
+  TeTables te{};
+  for (int x = 0; x < 256; ++x) {
+    const std::uint8_t s = kSbox[x];
+    const std::uint8_t s2 = xtime(s);
+    const std::uint8_t s3 = static_cast<std::uint8_t>(s2 ^ s);
+    std::uint32_t w = (std::uint32_t{s2} << 24) | (std::uint32_t{s} << 16) |
+                      (std::uint32_t{s} << 8) | s3;
+    for (int r = 0; r < 4; ++r) {
+      te.t[r][x] = w;
+      w = rotr8(w);
+    }
+  }
+  return te;
+}
+
+constexpr TeTables kTe = make_te();
+
+std::uint32_t load_be32(const std::uint8_t* p) {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | p[3];
+}
+
+void store_be32(std::uint8_t* p, std::uint32_t w) {
+  p[0] = static_cast<std::uint8_t>(w >> 24);
+  p[1] = static_cast<std::uint8_t>(w >> 16);
+  p[2] = static_cast<std::uint8_t>(w >> 8);
+  p[3] = static_cast<std::uint8_t>(w);
+}
+
 // Inverse S-box, computed once at startup from kSbox.
 struct InvSbox {
   std::uint8_t t[256];
@@ -39,10 +82,6 @@ struct InvSbox {
   }
 };
 const InvSbox kInvSbox;
-
-std::uint8_t xtime(std::uint8_t x) {
-  return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) * 0x1B));
-}
 
 std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
   std::uint8_t p = 0;
@@ -88,7 +127,7 @@ void Aes::expand_key(BytesView key) {
       w[4 * i + j] = w[4 * (i - nk) + j] ^ t[j];
     }
   }
-  std::memcpy(rk_.data(), w, nw * 4);
+  for (std::size_t i = 0; i < nw; ++i) rk_[i] = load_be32(&w[4 * i]);
 }
 
 Aes::Block Aes::encrypt(const Block& in) const {
@@ -104,40 +143,49 @@ Aes::Block Aes::decrypt(const Block& in) const {
 }
 
 void Aes::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
-  std::uint8_t s[16];
-  for (int i = 0; i < 16; ++i) s[i] = in[i] ^ rk_[i];
-  for (int round = 1; round <= rounds_; ++round) {
-    // SubBytes.
-    for (auto& b : s) b = kSbox[b];
-    // ShiftRows (state stored column-major: s[4c + r]).
-    std::uint8_t t[16];
-    for (int c = 0; c < 4; ++c) {
-      for (int r = 0; r < 4; ++r) {
-        t[4 * c + r] = s[4 * ((c + r) % 4) + r];
-      }
-    }
-    if (round < rounds_) {
-      // MixColumns.
-      for (int c = 0; c < 4; ++c) {
-        const std::uint8_t a0 = t[4 * c], a1 = t[4 * c + 1], a2 = t[4 * c + 2],
-                           a3 = t[4 * c + 3];
-        s[4 * c] = static_cast<std::uint8_t>(xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3);
-        s[4 * c + 1] = static_cast<std::uint8_t>(a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3);
-        s[4 * c + 2] = static_cast<std::uint8_t>(a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3));
-        s[4 * c + 3] = static_cast<std::uint8_t>((xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3));
-      }
-    } else {
-      std::memcpy(s, t, 16);
-    }
-    // AddRoundKey.
-    for (int i = 0; i < 16; ++i) s[i] ^= rk_[16 * round + i];
+  // State as four big-endian column words; row r of column c is byte r.
+  const std::uint32_t* rk = rk_.data();
+  std::uint32_t s0 = load_be32(in) ^ rk[0];
+  std::uint32_t s1 = load_be32(in + 4) ^ rk[1];
+  std::uint32_t s2 = load_be32(in + 8) ^ rk[2];
+  std::uint32_t s3 = load_be32(in + 12) ^ rk[3];
+  const auto& t = kTe.t;
+  // SubBytes + ShiftRows + MixColumns + AddRoundKey: column c takes row r
+  // from column c + r.
+  for (int round = 1; round < rounds_; ++round) {
+    rk += 4;
+    const std::uint32_t t0 = t[0][s0 >> 24] ^ t[1][(s1 >> 16) & 0xFF] ^
+                             t[2][(s2 >> 8) & 0xFF] ^ t[3][s3 & 0xFF] ^ rk[0];
+    const std::uint32_t t1 = t[0][s1 >> 24] ^ t[1][(s2 >> 16) & 0xFF] ^
+                             t[2][(s3 >> 8) & 0xFF] ^ t[3][s0 & 0xFF] ^ rk[1];
+    const std::uint32_t t2 = t[0][s2 >> 24] ^ t[1][(s3 >> 16) & 0xFF] ^
+                             t[2][(s0 >> 8) & 0xFF] ^ t[3][s1 & 0xFF] ^ rk[2];
+    const std::uint32_t t3 = t[0][s3 >> 24] ^ t[1][(s0 >> 16) & 0xFF] ^
+                             t[2][(s1 >> 8) & 0xFF] ^ t[3][s2 & 0xFF] ^ rk[3];
+    s0 = t0;
+    s1 = t1;
+    s2 = t2;
+    s3 = t3;
   }
-  std::memcpy(out, s, 16);
+  // Final round: no MixColumns, so plain S-box bytes.
+  rk += 4;
+  const auto last = [](std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                       std::uint32_t d) {
+    return (std::uint32_t{kSbox[a >> 24]} << 24) |
+           (std::uint32_t{kSbox[(b >> 16) & 0xFF]} << 16) |
+           (std::uint32_t{kSbox[(c >> 8) & 0xFF]} << 8) | kSbox[d & 0xFF];
+  };
+  store_be32(out, last(s0, s1, s2, s3) ^ rk[0]);
+  store_be32(out + 4, last(s1, s2, s3, s0) ^ rk[1]);
+  store_be32(out + 8, last(s2, s3, s0, s1) ^ rk[2]);
+  store_be32(out + 12, last(s3, s0, s1, s2) ^ rk[3]);
 }
 
 void Aes::decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
+  std::uint8_t rk[15 * 16];
+  for (std::size_t i = 0; i < rk_.size(); ++i) store_be32(&rk[4 * i], rk_[i]);
   std::uint8_t s[16];
-  for (int i = 0; i < 16; ++i) s[i] = in[i] ^ rk_[16 * rounds_ + i];
+  for (int i = 0; i < 16; ++i) s[i] = in[i] ^ rk[16 * rounds_ + i];
   for (int round = rounds_ - 1; round >= 0; --round) {
     // InvShiftRows.
     std::uint8_t t[16];
@@ -149,7 +197,7 @@ void Aes::decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
     // InvSubBytes.
     for (auto& b : t) b = kInvSbox.t[b];
     // AddRoundKey.
-    for (int i = 0; i < 16; ++i) t[i] ^= rk_[16 * round + i];
+    for (int i = 0; i < 16; ++i) t[i] ^= rk[16 * round + i];
     if (round > 0) {
       // InvMixColumns.
       for (int c = 0; c < 4; ++c) {

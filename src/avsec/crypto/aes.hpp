@@ -1,4 +1,8 @@
-// AES-128 / AES-256 block cipher (FIPS 197), table-free byte implementation.
+// AES-128 / AES-256 block cipher (FIPS 197). Encryption runs on 32-bit
+// T-tables (one 4 KiB constexpr table set); the key schedule and
+// decryption keep the byte-wise S-box path, since nothing in the
+// simulator decrypts a block. Table lookups are key- and data-dependent,
+// so this is not side-channel hardened (DESIGN.md §11).
 #pragma once
 
 #include <array>
@@ -33,8 +37,8 @@ class Aes {
   void expand_key(BytesView key);
 
   int rounds_ = 0;
-  // Round keys as bytes: (rounds+1) * 16.
-  std::array<std::uint8_t, 15 * 16> rk_{};
+  // Round keys as big-endian words: (rounds+1) * 4.
+  std::array<std::uint32_t, 15 * 4> rk_{};
 };
 
 }  // namespace avsec::crypto

@@ -11,36 +11,45 @@ namespace {
 
 /// Twisted Edwards point in extended coordinates (X:Y:Z:T), T = XY/Z.
 struct Ge {
-  U256 x, y, z, t;
+  Fe x, y, z, t;
 };
 
-/// Curve constant d = -121665/121666 mod p (computed once).
-const U256& curve_d() {
-  static const U256 d =
-      fe_mul(fe_neg(fe_from_u32(121665)), fe_inv(fe_from_u32(121666)));
-  return d;
-}
-
-const U256& curve_2d() {
-  static const U256 d2 = fe_add(curve_d(), curve_d());
-  return d2;
-}
+/// 2d, where d = -121665/121666 mod p is the curve constant.
+constexpr Fe kCurve2d{{1859910466990425, 932731440258426, 1072319116312658,
+                       1815898335770999, 633789495995903}};
+/// d itself (decode only).
+constexpr Fe kCurveD{{929955233495203, 466365720129213, 1662059464998953,
+                      2033849074728123, 1442794654840575}};
 
 Ge ge_identity() {
-  return Ge{U256{}, fe_from_u32(1), fe_from_u32(1), U256{}};
+  return Ge{fe_from_u32(0), fe_from_u32(1), fe_from_u32(1), fe_from_u32(0)};
 }
 
 /// Strongly unified addition (add-2008-hwcd-3, a = -1): valid for P == Q.
 Ge ge_add(const Ge& p, const Ge& q) {
-  const U256 a = fe_mul(fe_sub(p.y, p.x), fe_sub(q.y, q.x));
-  const U256 b = fe_mul(fe_add(p.y, p.x), fe_add(q.y, q.x));
-  const U256 c = fe_mul(fe_mul(p.t, curve_2d()), q.t);
-  const U256 d = fe_mul(fe_add(p.z, p.z), q.z);
-  const U256 e = fe_sub(b, a);
-  const U256 f = fe_sub(d, c);
-  const U256 g = fe_add(d, c);
-  const U256 h = fe_add(b, a);
+  const Fe a = fe_mul(fe_sub(p.y, p.x), fe_sub(q.y, q.x));
+  const Fe b = fe_mul(fe_add(p.y, p.x), fe_add(q.y, q.x));
+  const Fe c = fe_mul(fe_mul(p.t, kCurve2d), q.t);
+  const Fe d = fe_mul(fe_add(p.z, p.z), q.z);
+  const Fe e = fe_sub(b, a);
+  const Fe f = fe_sub(d, c);
+  const Fe g = fe_add(d, c);
+  const Fe h = fe_add(b, a);
   return Ge{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
+}
+
+/// Doubling (dbl-2008-hwcd, a = -1), the result negated in all four
+/// coordinates, which is the same projective point: 4 squarings and 4
+/// multiplications against ge_add's 9 multiplications.
+Ge ge_dbl(const Ge& p) {
+  const Fe xx = fe_sq(p.x);
+  const Fe yy = fe_sq(p.y);
+  const Fe zz2 = fe_add(fe_sq(p.z), fe_sq(p.z));
+  const Fe sum = fe_add(yy, xx);                      // -H
+  const Fe diff = fe_sub(yy, xx);                     // G
+  const Fe e = fe_sub(fe_sq(fe_add(p.x, p.y)), sum);  // E = 2XY
+  const Fe f = fe_sub(zz2, diff);                     // -F
+  return Ge{fe_mul(e, f), fe_mul(sum, diff), fe_mul(diff, f), fe_mul(e, sum)};
 }
 
 /// Scalar multiplication, double-and-add (not constant-time; the simulated
@@ -51,45 +60,36 @@ Ge ge_scalarmul(const Ge& p, const U256& scalar) {
   for (int limb = 0; limb < 8; ++limb) {
     for (int bit = 0; bit < 32; ++bit) {
       if ((scalar[limb] >> bit) & 1) r = ge_add(r, base);
-      base = ge_add(base, base);
+      base = ge_dbl(base);
     }
   }
   return r;
 }
 
-core::Bytes ge_encode(const Ge& p) {
-  const U256 zinv = fe_inv(p.z);
-  const U256 x = fe_mul(p.x, zinv);
-  const U256 y = fe_mul(p.y, zinv);
-  core::Bytes out = u256_to_le(y);
-  if (fe_is_negative(x)) out[31] |= 0x80;
+std::array<std::uint8_t, 32> ge_encode(const Ge& p) {
+  const Fe zinv = fe_inv(p.z);
+  std::array<std::uint8_t, 32> out = fe_to_bytes(fe_mul(p.y, zinv));
+  if (fe_is_negative(fe_mul(p.x, zinv))) out[31] |= 0x80;
   return out;
 }
 
 std::optional<Ge> ge_decode(core::BytesView enc) {
   if (enc.size() != 32) return std::nullopt;
   const bool x_sign = (enc[31] & 0x80) != 0;
-  const U256 y = fe_from_bytes(enc);
+  const Fe y = fe_from_bytes(enc);
 
   // x^2 = (y^2 - 1) / (d*y^2 + 1)
-  const U256 y2 = fe_sq(y);
-  const U256 u = fe_sub(y2, fe_from_u32(1));
-  const U256 v = fe_add(fe_mul(curve_d(), y2), fe_from_u32(1));
+  const Fe y2 = fe_sq(y);
+  const Fe u = fe_sub(y2, fe_from_u32(1));
+  const Fe v = fe_add(fe_mul(kCurveD, y2), fe_from_u32(1));
 
   // candidate root: x = (u/v)^((p+3)/8) = u * v^3 * (u * v^7)^((p-5)/8)
-  const U256 v3 = fe_mul(fe_sq(v), v);
-  const U256 v7 = fe_mul(fe_sq(v3), v);
-  U256 e = kFieldPrime;  // (p - 5) / 8
-  U256 five = fe_from_u32(5);
-  u256_sub(e, five);
-  for (int i = 0; i < 8; ++i) {
-    e[i] >>= 3;
-    if (i < 7) e[i] |= e[i + 1] << 29;
-  }
-  U256 x = fe_mul(fe_mul(u, v3), fe_pow(fe_mul(u, v7), e));
+  const Fe v3 = fe_mul(fe_sq(v), v);
+  const Fe v7 = fe_mul(fe_sq(v3), v);
+  Fe x = fe_mul(fe_mul(u, v3), fe_pow22523(fe_mul(u, v7)));
 
-  const U256 vx2 = fe_mul(v, fe_sq(x));
-  if (!fe_is_zero(fe_sub(vx2, u))) {
+  const Fe vx2 = fe_mul(v, fe_sq(x));
+  if (!fe_equal(vx2, u)) {
     if (fe_is_zero(fe_add(vx2, u))) {
       x = fe_mul(x, fe_sqrt_m1());
     } else {
@@ -105,9 +105,8 @@ std::optional<Ge> ge_decode(core::BytesView enc) {
 const Ge& base_point() {
   // B = (x, 4/5) with even x; recover via decode of encoded y.
   static const Ge b = [] {
-    const U256 y = fe_mul(fe_from_u32(4), fe_inv(fe_from_u32(5)));
-    core::Bytes enc = u256_to_le(y);  // sign bit 0 -> even x
-    auto p = ge_decode(enc);
+    const Fe y = fe_mul(fe_from_u32(4), fe_inv(fe_from_u32(5)));
+    auto p = ge_decode(fe_to_bytes(y));  // sign bit 0 -> even x
     assert(p.has_value());
     return *p;
   }();
@@ -139,9 +138,7 @@ Ed25519KeyPair ed25519_keypair(BytesView seed32) {
 
   const Bytes h = Sha512::hash(seed32);
   const U256 s = clamp_scalar(BytesView(h.data(), 32));
-  const Ge a = ge_scalarmul(base_point(), s);
-  const Bytes enc = ge_encode(a);
-  std::copy(enc.begin(), enc.end(), kp.public_key.begin());
+  kp.public_key = ge_encode(ge_scalarmul(base_point(), s));
   return kp;
 }
 
@@ -157,7 +154,7 @@ Ed25519Signature ed25519_sign(const Ed25519KeyPair& kp, BytesView message) {
   const U256 r = sc_reduce(to_u512(BytesView(r_digest.data(), 64)));
 
   const Ge rp = ge_scalarmul(base_point(), r);
-  const Bytes r_enc = ge_encode(rp);
+  const std::array<std::uint8_t, 32> r_enc = ge_encode(rp);
 
   Sha512 kh;
   kh.update(r_enc);
@@ -203,7 +200,7 @@ bool ed25519_verify(BytesView public_key32, BytesView message,
   const Ge sb = ge_scalarmul(base_point(), s);
   const Ge ka = ge_scalarmul(neg_a, k);
   const Ge r_check = ge_add(sb, ka);
-  const Bytes r_check_enc = ge_encode(r_check);
+  const std::array<std::uint8_t, 32> r_check_enc = ge_encode(r_check);
   return core::ct_equal(r_check_enc, r_enc);
 }
 

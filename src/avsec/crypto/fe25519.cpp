@@ -4,8 +4,103 @@
 
 namespace avsec::crypto {
 
-const U256 kFieldPrime = {0xFFFFFFED, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF,
-                          0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF, 0x7FFFFFFF};
+namespace {
+
+/// a^(2^n) by n squarings.
+Fe fe_sq_n(Fe a, int n) {
+  for (int i = 0; i < n; ++i) a = fe_sq(a);
+  return a;
+}
+
+/// The addition chain shared by fe_inv and fe_pow22523: a^(2^250 - 1),
+/// with a^11 left in `a11`.
+Fe pow_2_250_1(const Fe& a, Fe& a11) {
+  const Fe a2 = fe_sq(a);
+  const Fe a9 = fe_mul(fe_sq_n(a2, 2), a);
+  a11 = fe_mul(a9, a2);
+  const Fe e5 = fe_mul(fe_sq(a11), a9);         // 2^5 - 1
+  const Fe e10 = fe_mul(fe_sq_n(e5, 5), e5);     // 2^10 - 1
+  const Fe e20 = fe_mul(fe_sq_n(e10, 10), e10);  // 2^20 - 1
+  const Fe e40 = fe_mul(fe_sq_n(e20, 20), e20);  // 2^40 - 1
+  const Fe e50 = fe_mul(fe_sq_n(e40, 10), e10);  // 2^50 - 1
+  const Fe e100 = fe_mul(fe_sq_n(e50, 50), e50);     // 2^100 - 1
+  const Fe e200 = fe_mul(fe_sq_n(e100, 100), e100);  // 2^200 - 1
+  return fe_mul(fe_sq_n(e200, 50), e50);             // 2^250 - 1
+}
+
+}  // namespace
+
+Fe fe_from_u32(std::uint32_t v) { return Fe{{v, 0, 0, 0, 0}}; }
+
+Fe fe_from_bytes(core::BytesView b32) {
+  assert(b32.size() == 32);
+  std::uint64_t w[4] = {};
+  for (std::size_t i = 0; i < 32; ++i) {
+    w[i / 8] |= std::uint64_t{b32[i]} << (8 * (i % 8));
+  }
+  return Fe{{w[0] & detail::kMask51, ((w[0] >> 51) | (w[1] << 13)) & detail::kMask51,
+             ((w[1] >> 38) | (w[2] << 26)) & detail::kMask51,
+             ((w[2] >> 25) | (w[3] << 39)) & detail::kMask51, (w[3] >> 12) & detail::kMask51}};
+}
+
+std::array<std::uint8_t, 32> fe_to_bytes(const Fe& a) {
+  std::uint64_t t[5] = {a.v[0], a.v[1], a.v[2], a.v[3], a.v[4]};
+  // Two passes leave the value properly carried in [0, 2^255).
+  detail::carry(t);
+  detail::carry(t);
+  // Subtract p when value >= p, i.e. when value + 19 reaches 2^255.
+  std::uint64_t q = (t[0] + 19) >> 51;
+  for (int i = 1; i < 5; ++i) q = (t[i] + q) >> 51;
+  t[0] += 19 * q;
+  for (int i = 0; i < 4; ++i) {
+    t[i + 1] += t[i] >> 51;
+    t[i] &= detail::kMask51;
+  }
+  t[4] &= detail::kMask51;
+  const std::uint64_t w[4] = {t[0] | (t[1] << 51), (t[1] >> 13) | (t[2] << 38),
+                              (t[2] >> 26) | (t[3] << 25),
+                              (t[3] >> 39) | (t[4] << 12)};
+  std::array<std::uint8_t, 32> out{};
+  for (std::size_t i = 0; i < 32; ++i) {
+    out[i] = static_cast<std::uint8_t>(w[i / 8] >> (8 * (i % 8)));
+  }
+  return out;
+}
+
+Fe fe_inv(const Fe& a) {
+  // p - 2 = 2^255 - 21 = (2^250 - 1) * 2^5 + 11.
+  Fe a11;
+  const Fe e250 = pow_2_250_1(a, a11);
+  return fe_mul(fe_sq_n(e250, 5), a11);
+}
+
+Fe fe_pow22523(const Fe& a) {
+  // 2^252 - 3 = (2^250 - 1) * 2^2 + 1.
+  Fe a11;
+  const Fe e250 = pow_2_250_1(a, a11);
+  return fe_mul(fe_sq_n(e250, 2), a);
+}
+
+bool fe_equal(const Fe& a, const Fe& b) {
+  return fe_to_bytes(a) == fe_to_bytes(b);
+}
+
+bool fe_is_zero(const Fe& a) {
+  const std::array<std::uint8_t, 32> bytes = fe_to_bytes(a);
+  for (const std::uint8_t b : bytes) {
+    if (b != 0) return false;
+  }
+  return true;
+}
+
+bool fe_is_negative(const Fe& a) { return (fe_to_bytes(a)[0] & 1) != 0; }
+
+const Fe& fe_sqrt_m1() {
+  static constexpr Fe kSqrtM1{{1718705420411056, 234908883556509,
+                               2233514472574048, 2117202627021982,
+                               765476049583133}};
+  return kSqrtM1;
+}
 
 // L = 2^252 + 27742317777372353535851937790883648493
 const U256 kGroupOrder = {0x5CF5D3ED, 0x5812631A, 0xA2F79CD6, 0x14DEF9DE,
@@ -16,16 +111,6 @@ bool u256_less(const U256& a, const U256& b) {
     if (a[i] != b[i]) return a[i] < b[i];
   }
   return false;
-}
-
-std::uint32_t u256_add(U256& a, const U256& b) {
-  std::uint64_t carry = 0;
-  for (int i = 0; i < 8; ++i) {
-    const std::uint64_t cur = std::uint64_t(a[i]) + b[i] + carry;
-    a[i] = static_cast<std::uint32_t>(cur);
-    carry = cur >> 32;
-  }
-  return static_cast<std::uint32_t>(carry);
 }
 
 std::uint32_t u256_sub(U256& a, const U256& b) {
@@ -70,131 +155,6 @@ core::Bytes u256_to_le(const U256& v) {
   return out;
 }
 
-namespace {
-
-/// Subtract p while >= p (value < 2p on entry suffices; loop handles more).
-void canonicalize(U256& v) {
-  while (!u256_less(v, kFieldPrime)) {
-    u256_sub(v, kFieldPrime);
-  }
-}
-
-}  // namespace
-
-U256 fe_from_u32(std::uint32_t v) {
-  U256 r{};
-  r[0] = v;
-  return r;
-}
-
-U256 fe_add(const U256& a, const U256& b) {
-  U256 r = a;
-  const std::uint32_t carry = u256_add(r, b);
-  if (carry) {
-    // r + 2^256 ≡ r + 38 (mod p)
-    U256 c38 = fe_from_u32(38);
-    u256_add(r, c38);
-  }
-  canonicalize(r);
-  return r;
-}
-
-U256 fe_sub(const U256& a, const U256& b) {
-  // a, b < p, so a + p - b < 2p.
-  U256 r = a;
-  u256_add(r, kFieldPrime);
-  u256_sub(r, b);
-  canonicalize(r);
-  return r;
-}
-
-U256 fe_reduce(const U512& wide) {
-  // 2^256 ≡ 38 (mod p): fold high half down with multiplier 38.
-  U256 out{};
-  std::uint64_t carry = 0;
-  for (int i = 0; i < 8; ++i) {
-    const std::uint64_t cur =
-        std::uint64_t(wide[i]) + 38ULL * wide[i + 8] + carry;
-    out[i] = static_cast<std::uint32_t>(cur);
-    carry = cur >> 32;
-  }
-  // carry < 2^7; fold again: carry * 2^256 ≡ carry * 38.
-  while (carry != 0) {
-    std::uint64_t add = carry * 38ULL;
-    carry = 0;
-    for (int i = 0; i < 8 && add != 0; ++i) {
-      const std::uint64_t cur = std::uint64_t(out[i]) + (add & 0xFFFFFFFFULL);
-      out[i] = static_cast<std::uint32_t>(cur);
-      add = (add >> 32) + (cur >> 32);
-    }
-    carry = add;
-  }
-  canonicalize(out);
-  return out;
-}
-
-U256 fe_mul(const U256& a, const U256& b) { return fe_reduce(u256_mul(a, b)); }
-
-U256 fe_sq(const U256& a) { return fe_mul(a, a); }
-
-U256 fe_neg(const U256& a) { return fe_sub(U256{}, a); }
-
-U256 fe_pow(const U256& a, const U256& e) {
-  U256 result = fe_from_u32(1);
-  bool started = false;
-  for (int limb = 7; limb >= 0; --limb) {
-    for (int bit = 31; bit >= 0; --bit) {
-      if (started) result = fe_sq(result);
-      if ((e[limb] >> bit) & 1) {
-        result = fe_mul(result, a);
-        started = true;
-      }
-    }
-  }
-  return result;
-}
-
-U256 fe_inv(const U256& a) {
-  // a^(p-2)
-  U256 e = kFieldPrime;
-  U256 two = fe_from_u32(2);
-  u256_sub(e, two);
-  return fe_pow(a, e);
-}
-
-bool fe_is_zero(const U256& a) {
-  for (auto w : a) {
-    if (w != 0) return false;
-  }
-  return true;
-}
-
-bool fe_is_negative(const U256& a) { return (a[0] & 1) != 0; }
-
-const U256& fe_sqrt_m1() {
-  // 2^((p-1)/4) is a square root of -1 mod p.
-  static const U256 value = [] {
-    U256 e = kFieldPrime;
-    U256 one = fe_from_u32(1);
-    u256_sub(e, one);
-    // shift right by 2
-    for (int i = 0; i < 8; ++i) {
-      e[i] >>= 2;
-      if (i < 7) e[i] |= e[i + 1] << 30;
-    }
-    return fe_pow(fe_from_u32(2), e);
-  }();
-  return value;
-}
-
-U256 fe_from_bytes(core::BytesView b32) {
-  assert(b32.size() == 32);
-  U256 v = u256_from_le(b32);
-  v[7] &= 0x7FFFFFFF;
-  canonicalize(v);
-  return v;
-}
-
 U256 sc_reduce(const U512& wide) {
   // Binary long division remainder: process bits MSB-first.
   U256 r{};
@@ -214,12 +174,6 @@ U256 sc_reduce(const U512& wide) {
     }
   }
   return r;
-}
-
-U256 sc_reduce256(const U256& v) {
-  U512 w{};
-  for (int i = 0; i < 8; ++i) w[i] = v[i];
-  return sc_reduce(w);
 }
 
 U256 sc_muladd(const U256& a, const U256& b, const U256& c) {

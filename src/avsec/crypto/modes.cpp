@@ -1,5 +1,6 @@
 #include "avsec/crypto/modes.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -30,53 +31,87 @@ void AesCtr::crypt(Bytes& data) {
   for (std::size_t i = 0; i < data.size(); ++i) data[i] ^= ks[i];
 }
 
-AesGcm::AesGcm(BytesView key) : aes_(key) {
-  const Aes::Block zero{};
-  h_ = aes_.encrypt(zero);
+namespace {
+
+/// Reduction constants for Shoup's 4-bit GHASH: shifting the 128-bit
+/// accumulator right by 4 drops the low nibble n, which folds back as
+/// n * R (R = 0xE1 || 0^120) into the top 16 bits.
+constexpr std::uint16_t kReduce4[16] = {
+    0x0000, 0x1C20, 0x3840, 0x2460, 0x7080, 0x6CA0, 0x48C0, 0x54E0,
+    0xE100, 0xFD20, 0xD940, 0xC560, 0x9180, 0x8DA0, 0xA9C0, 0xB5E0};
+
+std::uint64_t load_be64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
+  return v;
 }
 
-AesGcm::Block AesGcm::gf_mul(const Block& x, const Block& y) {
-  // GF(2^128) multiplication, bit-serial with the GCM reduction polynomial
-  // R = 0xE1 || 0^120.
-  Block z{};
-  Block v = y;
-  for (int i = 0; i < 128; ++i) {
-    const bool xi = (x[i / 8] >> (7 - i % 8)) & 1;
-    if (xi) {
-      for (int j = 0; j < 16; ++j) z[j] ^= v[j];
-    }
-    const bool lsb = v[15] & 1;
-    // v >>= 1 (big-endian bit order).
-    for (int j = 15; j > 0; --j) {
-      v[j] = static_cast<std::uint8_t>((v[j] >> 1) | (v[j - 1] << 7));
-    }
-    v[0] >>= 1;
-    if (lsb) v[0] ^= 0xE1;
+}  // namespace
+
+AesGcm::AesGcm(BytesView key) : aes_(key) {
+  const Block h = aes_.encrypt(Block{});
+  // Entry 8 (x^0) is H; 4, 2, 1 are H * x, x^2, x^3 (a right shift in
+  // GCM's reflected bit order, folding the dropped bit back through R);
+  // every other entry is the XOR of the powers its bits select.
+  std::uint64_t hi = load_be64(h.data()), lo = load_be64(h.data() + 8);
+  h_hi_[8] = hi;
+  h_lo_[8] = lo;
+  for (int i = 4; i > 0; i >>= 1) {
+    const std::uint64_t fold = (lo & 1) * 0xE100000000000000ULL;
+    lo = (hi << 63) | (lo >> 1);
+    hi = (hi >> 1) ^ fold;
+    h_hi_[i] = hi;
+    h_lo_[i] = lo;
   }
-  return z;
+  for (int i = 2; i <= 8; i *= 2) {
+    for (int j = 1; j < i; ++j) {
+      h_hi_[i + j] = h_hi_[i] ^ h_hi_[j];
+      h_lo_[i + j] = h_lo_[i] ^ h_lo_[j];
+    }
+  }
+}
+
+void AesGcm::mul_h(std::uint64_t& hi, std::uint64_t& lo) const {
+  // Horner over the 32 nibbles of y, last byte's low nibble first: each
+  // step multiplies the accumulator z by x^4 and adds nibble * H.
+  std::uint64_t zh = 0, zl = 0;
+  for (int i = 31; i >= 0; --i) {
+    const std::uint64_t half = i < 16 ? hi : lo;
+    const unsigned nibble =
+        static_cast<unsigned>(half >> (4 * (15 - i % 16))) & 0xF;
+    const unsigned rem = static_cast<unsigned>(zl) & 0xF;
+    zl = (zh << 60) | (zl >> 4);
+    zh = (zh >> 4) ^ (std::uint64_t{kReduce4[rem]} << 48);
+    zh ^= h_hi_[nibble];
+    zl ^= h_lo_[nibble];
+  }
+  hi = zh;
+  lo = zl;
 }
 
 AesGcm::Block AesGcm::ghash(BytesView aad, BytesView ct) const {
-  Block y{};
+  std::uint64_t hi = 0, lo = 0;
   auto absorb = [&](BytesView data) {
     for (std::size_t off = 0; off < data.size(); off += 16) {
-      Block b{};
+      std::uint8_t b[16] = {};
       const std::size_t n = std::min<std::size_t>(16, data.size() - off);
-      std::memcpy(b.data(), data.data() + off, n);
-      for (int i = 0; i < 16; ++i) y[i] ^= b[i];
-      y = gf_mul(y, h_);
+      std::memcpy(b, data.data() + off, n);
+      hi ^= load_be64(b);
+      lo ^= load_be64(b + 8);
+      mul_h(hi, lo);
     }
   };
   absorb(aad);
   absorb(ct);
-  Block lens{};
-  const std::uint64_t abits = aad.size() * 8, cbits = ct.size() * 8;
+  hi ^= std::uint64_t{aad.size()} * 8;
+  lo ^= std::uint64_t{ct.size()} * 8;
+  mul_h(hi, lo);
+  Block y{};
   for (int i = 0; i < 8; ++i) {
-    lens[i] = static_cast<std::uint8_t>(abits >> (56 - 8 * i));
-    lens[8 + i] = static_cast<std::uint8_t>(cbits >> (56 - 8 * i));
+    y[i] = static_cast<std::uint8_t>(hi >> (56 - 8 * i));
+    y[8 + i] = static_cast<std::uint8_t>(lo >> (56 - 8 * i));
   }
-  for (int i = 0; i < 16; ++i) y[i] ^= lens[i];
-  return gf_mul(y, h_);
+  return y;
 }
 
 Bytes AesGcm::ctr_crypt(const Block& j0, BytesView data) const {
@@ -120,10 +155,11 @@ Bytes AesGcm::seal(BytesView iv, BytesView aad, BytesView plaintext,
 std::optional<Bytes> AesGcm::open(BytesView iv, BytesView aad,
                                   BytesView ciphertext, BytesView tag) const {
   if (iv.size() != 12) throw std::invalid_argument("AesGcm: IV must be 12B");
+  if (tag.size() < 4 || tag.size() > 16) return std::nullopt;
   Block j0{};
   std::memcpy(j0.data(), iv.data(), 12);
   j0[15] = 1;
-  Block s = ghash(aad, ciphertext);
+  const Block s = ghash(aad, ciphertext);
   const Block ek_j0 = aes_.encrypt(j0);
   Bytes expect(tag.size());
   for (std::size_t i = 0; i < tag.size(); ++i) expect[i] = s[i] ^ ek_j0[i];

@@ -32,8 +32,9 @@ class AesCtr {
 /// AES-GCM authenticated encryption.
 ///
 /// The IV must be 12 bytes (the common fast path of SP 800-38D). Tags may be
-/// truncated to >= 4 bytes for constrained protocols (CANsec uses shorter
-/// tags than MACsec).
+/// truncated to 4..16 bytes for constrained protocols (CANsec uses shorter
+/// tags than MACsec); open() refuses any tag outside that range. GHASH
+/// multiplies through per-key 4-bit tables built once in the constructor.
 class AesGcm {
  public:
   explicit AesGcm(BytesView key);
@@ -43,7 +44,8 @@ class AesGcm {
   Bytes seal(BytesView iv, BytesView aad, BytesView plaintext, Bytes& tag,
              std::size_t tag_len = 16) const;
 
-  /// Verifies and decrypts; returns nullopt on authentication failure.
+  /// Verifies and decrypts; returns nullopt on authentication failure or
+  /// a tag shorter than 4 or longer than 16 bytes.
   std::optional<Bytes> open(BytesView iv, BytesView aad, BytesView ciphertext,
                             BytesView tag) const;
 
@@ -51,11 +53,15 @@ class AesGcm {
   using Block = Aes::Block;
 
   Block ghash(BytesView aad, BytesView ct) const;
-  static Block gf_mul(const Block& x, const Block& y);
+  /// y := y * H in GF(2^128), y as big-endian (hi, lo) halves.
+  void mul_h(std::uint64_t& hi, std::uint64_t& lo) const;
   Bytes ctr_crypt(const Block& j0, BytesView data) const;
 
   Aes aes_;
-  Block h_{};  // GHASH subkey
+  // Shoup's 4-bit tables for the GHASH subkey H = E_K(0^128): entry n is
+  // n * H for the 4-bit polynomial n (bit 3 = x^0), as (hi, lo) halves.
+  std::array<std::uint64_t, 16> h_hi_{};
+  std::array<std::uint64_t, 16> h_lo_{};
 };
 
 /// AES-CMAC (RFC 4493). Produces a 16-byte tag; callers may truncate.

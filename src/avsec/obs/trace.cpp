@@ -28,8 +28,9 @@ const char* phase_name(Phase p) {
   return "?";
 }
 
-TraceRecorder::TraceRecorder(std::size_t capacity) {
-  ring_.resize(std::max<std::size_t>(capacity, 1));
+TraceRecorder::TraceRecorder(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(capacity, 1)) {
+  ring_.reserve(capacity_);
   tracks_.push_back("main");
   depth_.push_back(0);
 }
@@ -50,7 +51,12 @@ const char* TraceRecorder::intern(std::string_view s) {
 }
 
 void TraceRecorder::push(const TraceEvent& ev) {
-  ring_[static_cast<std::size_t>(recorded_ % ring_.size())] = ev;
+  const auto slot = static_cast<std::size_t>(recorded_ % capacity_);
+  if (slot < ring_.size()) {
+    ring_[slot] = ev;
+  } else {
+    ring_.push_back(ev);
+  }
   ++recorded_;
 }
 
@@ -115,7 +121,7 @@ void TraceRecorder::counter(Category cat, const char* name, TrackId track,
 
 std::size_t TraceRecorder::size() const {
   return static_cast<std::size_t>(
-      std::min<std::uint64_t>(recorded_, ring_.size()));
+      std::min<std::uint64_t>(recorded_, capacity_));
 }
 
 std::uint64_t TraceRecorder::dropped() const {
@@ -133,11 +139,11 @@ std::vector<TraceEvent> TraceRecorder::chronological() const {
   // Oldest retained event first: when the ring has wrapped, that is the
   // slot the next push would overwrite.
   const std::size_t start =
-      recorded_ > ring_.size()
-          ? static_cast<std::size_t>(recorded_ % ring_.size())
+      recorded_ > capacity_
+          ? static_cast<std::size_t>(recorded_ % capacity_)
           : 0;
   for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
+    out.push_back(ring_[(start + i) % capacity_]);
   }
   return out;
 }
@@ -155,7 +161,7 @@ void TraceRecorder::reset() {
 }
 
 namespace detail {
-thread_local TraceRecorder* tl_recorder = nullptr;
+constinit thread_local TraceRecorder* tl_recorder = nullptr;
 }  // namespace detail
 
 TraceRecorder* install(TraceRecorder* r) {

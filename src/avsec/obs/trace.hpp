@@ -81,7 +81,10 @@ static_assert(std::is_trivially_copyable_v<TraceEvent>,
 /// Fixed-capacity ring buffer of trace events plus a MetricsRegistry.
 /// When the ring is full the oldest events are overwritten (and counted
 /// in dropped()), so a recorder bounds memory no matter how long a run is
-/// while always retaining the newest — i.e. most forensic — window.
+/// while always retaining the newest — i.e. most forensic — window. The
+/// ring's storage is reserved up front but filled only as events arrive:
+/// a pooled context that never traces holds address space, not 1 MiB of
+/// resident memory.
 class TraceRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 14;
@@ -113,7 +116,7 @@ class TraceRecorder {
                core::SimTime ts, double value);
 
   // --- inspection ------------------------------------------------------
-  std::size_t capacity() const { return ring_.size(); }
+  std::size_t capacity() const { return capacity_; }
   /// Events currently retained (<= capacity).
   std::size_t size() const;
   /// Total events ever recorded, including overwritten ones.
@@ -144,7 +147,8 @@ class TraceRecorder {
   void push(const TraceEvent& ev);
 
   bool enabled_ = true;  // AVSEC-LINT-ALLOW(R6): operator policy, not scenario state — benches disable tracing once and expect it to stick across pooled reuse
-  std::vector<TraceEvent> ring_;  // AVSEC-LINT-ALLOW(R6): fixed-capacity storage; recorded_ is the watermark reset() rewinds, so stale slots are unreachable
+  std::size_t capacity_;  // AVSEC-LINT-ALLOW(R6): ring size, fixed at construction
+  std::vector<TraceEvent> ring_;  // AVSEC-LINT-ALLOW(R6): fixed-capacity storage, grown to capacity_ as events arrive; recorded_ is the watermark reset() rewinds, so stale slots are unreachable
   std::uint64_t recorded_ = 0;
   std::vector<std::string> tracks_;
   std::vector<int> depth_;
@@ -158,8 +162,10 @@ class TraceRecorder {
 namespace detail {
 // Thread-local so parallel campaign workers trace independent runs; a
 // plain pointer with constant initialization keeps the hot-path read free
-// of TLS init guards.
-extern thread_local TraceRecorder* tl_recorder;
+// of TLS init guards. constinit on both the declaration and the definition
+// tells every translation unit so: without it GCC routes reads through a
+// TLS wrapper function, which UBSan flags as a null-pointer load.
+extern constinit thread_local TraceRecorder* tl_recorder;
 }  // namespace detail
 
 /// The recorder instrumentation macros write to on this thread (nullptr =

@@ -6,6 +6,9 @@
 #include <system_error>
 #include <utility>
 
+#include "avsec/core/bytes.hpp"
+#include "avsec/crypto/sha2.hpp"
+#include "avsec/fault/manifest.hpp"
 #include "avsec/scenario/parser.hpp"
 
 namespace avsec::scenario {
@@ -74,6 +77,17 @@ CoverageMap corpus_coverage(const Corpus& corpus) {
     map.record(e.compiled.spec());
   }
   return map;
+}
+
+std::string report_digest_line(const std::string& name,
+                               const fault::CampaignReport& report) {
+  crypto::Sha256 h;
+  for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
+    h.update(core::to_bytes(fault::manifest_run_line(i, report.outcomes[i])));
+  }
+  const auto digest = h.finish();
+  return name + " " + std::to_string(report.runs) + " " +
+         core::to_hex(core::BytesView(digest.data(), digest.size())) + "\n";
 }
 
 }  // namespace avsec::scenario

@@ -12,6 +12,7 @@
 #include <string_view>
 #include <vector>
 
+#include "avsec/fault/campaign.hpp"
 #include "avsec/scenario/compile.hpp"
 #include "avsec/scenario/coverage.hpp"
 #include "avsec/serve/registry.hpp"
@@ -43,5 +44,12 @@ std::size_t register_corpus(const Corpus& corpus,
 
 /// Coverage over every loaded scenario.
 CoverageMap corpus_coverage(const Corpus& corpus);
+
+/// One line of scenarios/REPORTS.txt: "<name> <runs> <sha256>\n", where the
+/// digest covers the report's manifest_run_line() lines in run order —
+/// every metric (bit-exact), status, attempt count and violation. Equal
+/// lines across commits mean equal report bytes.
+std::string report_digest_line(const std::string& name,
+                               const fault::CampaignReport& report);
 
 }  // namespace avsec::scenario

@@ -3,6 +3,7 @@
 #include "avsec/core/rng.hpp"
 #include "avsec/crypto/drbg.hpp"
 #include "avsec/crypto/modes.hpp"
+#include "reference/reference.hpp"
 
 namespace avsec::crypto {
 namespace {
@@ -83,6 +84,59 @@ TEST(AesGcm, NistTestCase2SingleBlock) {
   EXPECT_EQ(to_hex(tag), "ab6e47d42cec13bdf53a67b21257bddf");
 }
 
+// A GCM known answer, checked on the library and on the kept reference
+// (so a mistyped vector fails twice, not once), then opened back.
+void expect_gcm_vector(const char* key, const char* iv, const char* aad,
+                       const char* pt, const char* ct, const char* tag) {
+  const auto k = from_hex(key), n = from_hex(iv), a = from_hex(aad),
+             p = from_hex(pt);
+  core::Bytes got_tag, ref_tag;
+  const AesGcm gcm(k);
+  EXPECT_EQ(to_hex(gcm.seal(n, a, p, got_tag)), ct);
+  EXPECT_EQ(to_hex(got_tag), tag);
+  EXPECT_EQ(to_hex(ref::AesGcm(k).seal(n, a, p, ref_tag)), ct);
+  EXPECT_EQ(to_hex(ref_tag), tag);
+  const auto back = gcm.open(n, a, from_hex(ct), from_hex(tag));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, p);
+}
+
+constexpr const char* kGcmTc3Plaintext =
+    "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+    "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255";
+// Test cases 4 and 16 use the first 60 bytes.
+constexpr const char* kGcmTc4Plaintext =
+    "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+    "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39";
+
+TEST(AesGcm, NistTestCase3FourBlocks) {
+  expect_gcm_vector(
+      "feffe9928665731c6d6a8f9467308308", "cafebabefacedbaddecaf888", "",
+      kGcmTc3Plaintext,
+      "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+      "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985",
+      "4d5c2af327cd64a62cf35abd2ba6fab4");
+}
+
+TEST(AesGcm, NistTestCase4AadAndPartialBlock) {
+  expect_gcm_vector(
+      "feffe9928665731c6d6a8f9467308308", "cafebabefacedbaddecaf888",
+      "feedfacedeadbeeffeedfacedeadbeefabaddad2", kGcmTc4Plaintext,
+      "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+      "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091",
+      "5bc94fbc3221a5db94fae95ae7121a47");
+}
+
+TEST(AesGcm, NistTestCase16Aes256AadAndPartialBlock) {
+  expect_gcm_vector(
+      "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308",
+      "cafebabefacedbaddecaf888", "feedfacedeadbeeffeedfacedeadbeefabaddad2",
+      kGcmTc4Plaintext,
+      "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+      "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662",
+      "76fc6ece0f4e1768cddf8853bb2d551b");
+}
+
 TEST(AesGcm, SealOpenRoundTripWithAad) {
   const AesGcm gcm(from_hex("feffe9928665731c6d6a8f9467308308"));
   const auto iv = from_hex("cafebabefacedbaddecaf888");
@@ -132,6 +186,30 @@ TEST(AesGcm, TruncatedTagsWork) {
   EXPECT_THROW(
       { core::Bytes t2; gcm.seal(iv, {}, {}, t2, 3); },
       std::invalid_argument);
+}
+
+// open() refuses a tag outside seal()'s 4..16-byte range before comparing:
+// an empty tag once matched the empty expectation and opened forged
+// ciphertext.
+TEST(AesGcm, OpenRefusesTagsShorterThan4OrLongerThan16) {
+  const AesGcm gcm(core::Bytes(16, 0x42));
+  const core::Bytes iv(12, 1);
+  core::Bytes tag;
+  const auto ct = gcm.seal(iv, {}, core::to_bytes("hello"), tag);
+  auto forged = ct;
+  forged[0] ^= 1;
+  EXPECT_FALSE(gcm.open(iv, {}, forged, core::BytesView{}).has_value());
+  for (std::size_t len = 0; len < 4; ++len) {
+    const core::Bytes prefix(tag.begin(), tag.begin() + len);
+    EXPECT_FALSE(gcm.open(iv, {}, ct, prefix).has_value()) << "len " << len;
+    EXPECT_FALSE(gcm.open(iv, {}, forged, prefix).has_value()) << "len " << len;
+  }
+  core::Bytes long_tag = tag;
+  long_tag.push_back(0);
+  EXPECT_FALSE(gcm.open(iv, {}, ct, long_tag).has_value());
+  // The same tag at 4 bytes is accepted: the bound is inclusive.
+  const core::Bytes four(tag.begin(), tag.begin() + 4);
+  EXPECT_TRUE(gcm.open(iv, {}, ct, four).has_value());
 }
 
 // Property sweep: any single bit flip anywhere in (ct||tag) must fail auth.

@@ -4,6 +4,7 @@
 #include "avsec/crypto/ed25519.hpp"
 #include "avsec/crypto/fe25519.hpp"
 #include "avsec/crypto/x25519.hpp"
+#include "reference/reference.hpp"
 
 namespace avsec::crypto {
 namespace {
@@ -24,9 +25,9 @@ TEST(Fe25519, AddSubInverse) {
     core::Bytes a_bytes(32), b_bytes(32);
     rng.fill_bytes(a_bytes);
     rng.fill_bytes(b_bytes);
-    const U256 a = fe_from_bytes(a_bytes);
-    const U256 b = fe_from_bytes(b_bytes);
-    EXPECT_EQ(fe_sub(fe_add(a, b), b), a);
+    const Fe a = fe_from_bytes(a_bytes);
+    const Fe b = fe_from_bytes(b_bytes);
+    EXPECT_TRUE(fe_equal(fe_sub(fe_add(a, b), b), a));
   }
 }
 
@@ -37,10 +38,11 @@ TEST(Fe25519, MulCommutesAndDistributes) {
     rng.fill_bytes(ab);
     rng.fill_bytes(bb);
     rng.fill_bytes(cb);
-    const U256 a = fe_from_bytes(ab), b = fe_from_bytes(bb),
-               c = fe_from_bytes(cb);
-    EXPECT_EQ(fe_mul(a, b), fe_mul(b, a));
-    EXPECT_EQ(fe_mul(a, fe_add(b, c)), fe_add(fe_mul(a, b), fe_mul(a, c)));
+    const Fe a = fe_from_bytes(ab), b = fe_from_bytes(bb),
+             c = fe_from_bytes(cb);
+    EXPECT_TRUE(fe_equal(fe_mul(a, b), fe_mul(b, a)));
+    EXPECT_TRUE(fe_equal(fe_mul(a, fe_add(b, c)),
+                         fe_add(fe_mul(a, b), fe_mul(a, c))));
   }
 }
 
@@ -49,15 +51,15 @@ TEST(Fe25519, InverseIsMultiplicativeInverse) {
   for (int i = 0; i < 10; ++i) {
     core::Bytes ab(32);
     rng.fill_bytes(ab);
-    const U256 a = fe_from_bytes(ab);
+    const Fe a = fe_from_bytes(ab);
     if (fe_is_zero(a)) continue;
-    EXPECT_EQ(fe_mul(a, fe_inv(a)), fe_from_u32(1));
+    EXPECT_TRUE(fe_equal(fe_mul(a, fe_inv(a)), fe_from_u32(1)));
   }
 }
 
 TEST(Fe25519, SqrtM1SquaresToMinusOne) {
-  const U256 i = fe_sqrt_m1();
-  EXPECT_EQ(fe_sq(i), fe_neg(fe_from_u32(1)));
+  const Fe i = fe_sqrt_m1();
+  EXPECT_TRUE(fe_equal(fe_sq(i), fe_neg(fe_from_u32(1))));
 }
 
 TEST(Fe25519, ScalarReductionBelowGroupOrder) {
@@ -72,8 +74,8 @@ TEST(Fe25519, ScalarReductionBelowGroupOrder) {
 
 TEST(Fe25519, ScMulAddMatchesManualSmallValues) {
   // (3*4 + 5) mod L == 17
-  const U256 r = sc_muladd(fe_from_u32(3), fe_from_u32(4), fe_from_u32(5));
-  EXPECT_EQ(r, fe_from_u32(17));
+  const U256 r = sc_muladd(U256{3}, U256{4}, U256{5});
+  EXPECT_EQ(r, U256{17});
 }
 
 TEST(X25519, Rfc7748Vector1) {
@@ -84,6 +86,48 @@ TEST(X25519, Rfc7748Vector1) {
   const auto out = x25519(scalar, u);
   EXPECT_EQ(to_hex(core::BytesView(out.data(), 32)),
             "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552");
+}
+
+// Known answers below are checked on the kept reference too, so a
+// mistyped vector fails on both implementations.
+TEST(X25519, Rfc7748Vector2) {
+  const auto scalar = key_from_hex(
+      "4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d");
+  const auto u = key_from_hex(
+      "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493");
+  const std::string expect =
+      "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957";
+  const auto out = x25519(scalar, u);
+  EXPECT_EQ(to_hex(core::BytesView(out.data(), 32)), expect);
+  const auto ref_out = ref::x25519(scalar, u);
+  EXPECT_EQ(to_hex(core::BytesView(ref_out.data(), 32)), expect);
+}
+
+// RFC 7748 §5.2 iteration: k = u = 9; each step k, u = X25519(k, u), k.
+std::string iterate_x25519(int steps, bool reference) {
+  X25519Key k{}, u{};
+  k[0] = 9;
+  u[0] = 9;
+  for (int i = 0; i < steps; ++i) {
+    const X25519Key next = reference ? ref::x25519(k, u) : x25519(k, u);
+    u = k;
+    k = next;
+  }
+  return to_hex(core::BytesView(k.data(), 32));
+}
+
+TEST(X25519, Rfc7748OneIteration) {
+  const std::string expect =
+      "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079";
+  EXPECT_EQ(iterate_x25519(1, false), expect);
+  EXPECT_EQ(iterate_x25519(1, true), expect);
+}
+
+TEST(X25519, Rfc7748ThousandIterations) {
+  const std::string expect =
+      "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51";
+  EXPECT_EQ(iterate_x25519(1000, false), expect);
+  EXPECT_EQ(iterate_x25519(1000, true), expect);
 }
 
 TEST(X25519, DiffieHellmanAgreement) {
@@ -134,6 +178,28 @@ TEST(Ed25519, Rfc8032TestVector2) {
             "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00");
   EXPECT_TRUE(ed25519_verify(core::BytesView(kp.public_key.data(), 32), msg,
                              core::BytesView(sig.data(), 64)));
+}
+
+TEST(Ed25519, Rfc8032TestVector3) {
+  const auto seed = from_hex(
+      "c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7");
+  const std::string pk =
+      "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025";
+  const std::string expect =
+      "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac"
+      "18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a";
+  const core::Bytes msg = from_hex("af82");
+  for (const bool reference : {false, true}) {
+    const auto kp =
+        reference ? ref::ed25519_keypair(seed) : ed25519_keypair(seed);
+    EXPECT_EQ(to_hex(core::BytesView(kp.public_key.data(), 32)), pk);
+    const auto sig =
+        reference ? ref::ed25519_sign(kp, msg) : ed25519_sign(kp, msg);
+    EXPECT_EQ(to_hex(core::BytesView(sig.data(), 64)), expect);
+    const core::BytesView key(kp.public_key.data(), 32), sv(sig.data(), 64);
+    EXPECT_TRUE(reference ? ref::ed25519_verify(key, msg, sv)
+                          : ed25519_verify(key, msg, sv));
+  }
 }
 
 TEST(Ed25519, SignVerifyRoundTripRandomMessages) {

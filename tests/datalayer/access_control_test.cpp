@@ -95,6 +95,30 @@ TEST(AccessControl, TamperedCiphertextDetected) {
                    .has_value());
 }
 
+// A stored record whose tag field was cleared (or cut below GCM's 4-byte
+// minimum) must be refused, tampered ciphertext or not: an empty tag once
+// compared equal to an empty expectation and released forged plaintext.
+TEST(AccessControl, ClearedOrShortTagRefused) {
+  AccessFixture fx;
+  const auto grant = fx.owner.grant("trip-001", "insurance-app");
+  auto forged = fx.record;
+  forged.ciphertext[0] ^= 1;
+  forged.tag.clear();
+  EXPECT_FALSE(consume_record(forged, grant, "insurance-app",
+                              fx.owner.servers(), fx.owner.threshold())
+                   .has_value());
+  auto cleared = fx.record;
+  cleared.tag.clear();
+  EXPECT_FALSE(consume_record(cleared, grant, "insurance-app",
+                              fx.owner.servers(), fx.owner.threshold())
+                   .has_value());
+  auto short_tag = fx.record;
+  short_tag.tag.resize(3);
+  EXPECT_FALSE(consume_record(short_tag, grant, "insurance-app",
+                              fx.owner.servers(), fx.owner.threshold())
+                   .has_value());
+}
+
 TEST(AccessControl, RecordsUseIndependentKeys) {
   AccessFixture fx;
   const auto r2 = fx.owner.seal("trip-002", fx.trip_log);

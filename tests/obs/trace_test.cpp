@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "avsec/core/scheduler.hpp"
@@ -134,6 +135,41 @@ TEST(TraceScope, InstallsAndRestoresAmbientRecorder) {
   // No recorder ambient: macro sites are inert, not crashes.
   AVSEC_TRACE_INSTANT(Category::kApp, "nowhere", 0, 1);
   AVSEC_METRIC_INC("nowhere", 1);
+}
+
+// The ambient pointer is per thread: a second thread starts with none,
+// installs and reads its own across a TraceScope (every macro site, the
+// recorder disabled and enabled), and leaves this thread's untouched.
+// Without constinit on the declaration these reads go through GCC's TLS
+// wrapper, which the sanitizer lane reports as a null-pointer load.
+TEST(TraceScope, SecondThreadInstallsAndReadsItsOwnRecorder) {
+  TraceRecorder mine;
+  TraceScope scope(mine);
+  TraceRecorder theirs;
+  TraceRecorder* seen_before = &mine;
+  TraceRecorder* seen_inside = nullptr;
+  TraceRecorder* seen_after = &mine;
+  std::thread worker([&] {
+    seen_before = current();
+    {
+      TraceScope s(theirs);
+      seen_inside = current();
+      theirs.set_enabled(false);
+      AVSEC_TRACE_BEGIN(Category::kApp, "off", 0, 1);
+      AVSEC_TRACE_COUNTER(Category::kApp, "off", 0, 1, 1.0);
+      AVSEC_METRIC_INC("off", 1);
+      theirs.set_enabled(true);
+      AVSEC_TRACE_INSTANT(Category::kApp, "worker", 0, 1);
+    }
+    seen_after = current();
+  });
+  worker.join();
+  EXPECT_EQ(seen_before, nullptr);
+  EXPECT_EQ(seen_inside, &theirs);
+  EXPECT_EQ(seen_after, nullptr);
+  EXPECT_EQ(theirs.recorded(), 1u);
+  EXPECT_EQ(current(), &mine);
+  EXPECT_EQ(mine.recorded(), 0u);
 }
 
 TEST(SchedulerTracer, SamplesDispatchCounter) {

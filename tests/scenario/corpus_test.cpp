@@ -2,7 +2,8 @@
 // passes its oracles under supervision, and produces byte-identical
 // campaign reports at 1, 2 and 8 workers. The committed COVERAGE.txt must
 // byte-match the regenerated report, so coverage regressions show up as a
-// diff in review, not silently.
+// diff in review, not silently; the committed REPORTS.txt pins every
+// scenario's report bytes the same way, across commits.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -95,6 +96,34 @@ TEST(ScenarioCorpus, EveryScenarioPassesOraclesAtAnyWorkerCount) {
     EXPECT_EQ(r1.quarantined_runs, 0u) << s.spec().name;
     EXPECT_TRUE(fault::identical(r1, r2)) << s.spec().name << " @2 workers";
     EXPECT_TRUE(fault::identical(r1, r8)) << s.spec().name << " @8 workers";
+  }
+}
+
+// Cross-commit byte identity: a change that moves any metric, status or
+// attempt count of any corpus run changes a digest here. REPORTS.txt is
+// generated, never hand-edited; a PR that regenerates it says why.
+TEST(ScenarioCorpus, CommittedReportDigestsMatchAtOneAndFourWorkers) {
+  ASSERT_TRUE(corpus().ok());
+  const std::string committed =
+      read_file(std::string(AVSEC_SCENARIO_CORPUS_DIR) + "/REPORTS.txt");
+  ASSERT_FALSE(committed.empty())
+      << "scenarios/REPORTS.txt missing — generate with "
+         "example_scenario_run --reports";
+  for (const std::size_t workers : {1u, 4u}) {
+    std::string regenerated;
+    for (const CorpusEntry& e : corpus().entries) {
+      const CompiledScenario& s = e.compiled;
+      const fault::CampaignReport r =
+          s.campaign(workers).sweep([&s](fault::SimContext& ctx,
+                                         std::uint64_t seed) {
+            return s.run(ctx.sim(), seed);
+          });
+      regenerated += report_digest_line(s.spec().name, r);
+    }
+    EXPECT_EQ(committed, regenerated)
+        << "report bytes drifted at " << workers
+        << " workers; if deliberate, regenerate with example_scenario_run "
+           "--reports scenarios/REPORTS.txt scenarios/*.avsc";
   }
 }
 
