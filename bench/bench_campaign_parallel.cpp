@@ -3,18 +3,17 @@
 // measured:
 //  a) determinism: the CampaignReport is byte-identical between serial
 //     and parallel sweeps at every worker count, AND between a scenario
-//     that builds a fresh heap Scheduler per run and one that runs on the
-//     worker's pooled SimContext (arena-backed scheduler, reset between
-//     seeds) — speedup_vs_fresh is what the pool buys;
-//  b) allocator: raw scheduler event churn on an arena vs the global
-//     heap (the micro-win the EventArena exists for);
+//     that builds a fresh Scheduler per run and one that runs on the
+//     worker's pooled SimContext (scheduler reset between seeds) —
+//     speedup_vs_fresh is what the pool buys;
+//  b) scheduler cost: raw event churn on one reset-and-reused scheduler,
+//     in ns per event;
 //  c) throughput: sweep wall-clock scales with workers (speedup vs the
 //     same-mode serial arm; ~1 on a single-core host — the JSON header
 //     records hardware_concurrency so the number is interpretable).
 #include <cmath>
 #include <cstdio>
 
-#include "avsec/core/arena.hpp"
 #include "avsec/core/table.hpp"
 #include "avsec/core/thread_pool.hpp"
 #include "avsec/fault/campaign.hpp"
@@ -141,14 +140,14 @@ fault::Metrics run_chaos(core::Scheduler& sim, std::uint64_t seed) {
   return m;
 }
 
-// The pooled arm: every run on the worker context's arena-backed
-// scheduler, as every campaign scenario runs.
+// The pooled arm: every run on the worker context's reused scheduler, as
+// every campaign scenario runs.
 fault::Metrics pooled(fault::SimContext& ctx, std::uint64_t seed) {
   return run_chaos(ctx.sim(), seed);
 }
 
-// The fresh-world reference arm: ignores the context and builds a global
-// heap Scheduler per run — the cost the pool exists to avoid.
+// The fresh-world reference arm: ignores the context and builds a new
+// Scheduler per run — the cost the pool exists to avoid.
 fault::Metrics fresh_world(fault::SimContext& /*ctx*/, std::uint64_t seed) {
   core::Scheduler sim;
   return run_chaos(sim, seed);
@@ -168,9 +167,7 @@ fault::Campaign make_campaign(std::size_t runs, std::size_t workers) {
 }
 
 // Raw scheduler event churn (schedule + cancel half + drain): the
-// allocation pattern a campaign run hammers, isolated from simulated
-// work. `sim` is either a fresh global-heap scheduler per rep or one
-// arena-backed scheduler reset between reps.
+// pattern a campaign run hammers, isolated from simulated work.
 void churn(core::Scheduler& sim, std::size_t events) {
   std::vector<core::EventHandle> handles;
   handles.reserve(events);
@@ -191,39 +188,18 @@ int main(int argc, char** argv) {
   const std::size_t runs = h.iters(48, 8);
   const std::size_t hw = core::ThreadPool::default_workers();
 
-  // --- allocator micro-arm: arena vs global heap event churn -----------
+  // --- scheduler micro-arm: event churn on one reused scheduler --------
   const std::size_t reps = h.iters(200, 20);
   const std::size_t events = 1000;
   const double churn_ops = static_cast<double>(reps * events);
-  const double global_ns = h.time("scheduler_churn_global", churn_ops, [&] {
-    for (std::size_t r = 0; r < reps; ++r) {
-      core::Scheduler sim;
-      churn(sim, events);
-    }
-  });
-  core::EventArena arena;
-  core::Scheduler warm(&arena);
-  const double arena_ns = h.time("scheduler_churn_arena", churn_ops, [&] {
+  core::Scheduler warm;
+  const double churn_ns = h.time("scheduler_churn", churn_ops, [&] {
     for (std::size_t r = 0; r < reps; ++r) {
       warm.reset();
-      arena.reset();
       churn(warm, events);
     }
   });
-  h.add({"scheduler_churn_arena_speedup", arena_ns, churn_ops,
-         {{"speedup_vs_global", arena_ns > 0.0 ? global_ns / arena_ns : 0.0},
-          {"arena_reserved_bytes",
-           static_cast<double>(arena.reserved_bytes())},
-          {"arena_pool_hit_rate",
-           arena.allocations() > 0
-               ? static_cast<double>(arena.pool_hits()) /
-                     static_cast<double>(arena.allocations())
-               : 0.0}}});
-  std::printf("scheduler churn: global %.0f ns/op, arena %.0f ns/op "
-              "(%.2fx), arena high-water %zu bytes\n",
-              global_ns / churn_ops, arena_ns / churn_ops,
-              arena_ns > 0.0 ? global_ns / arena_ns : 0.0,
-              arena.reserved_bytes());
+  std::printf("scheduler churn: %.0f ns/event\n", churn_ns / churn_ops);
 
   // --- engine-mode arms: fresh worlds vs pooled contexts, serial -------
   fault::CampaignReport fresh_report;

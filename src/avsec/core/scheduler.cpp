@@ -8,47 +8,49 @@ namespace avsec::core {
 EventHandle Scheduler::schedule_at(SimTime at, Callback cb) {
   affinity_.check();
   assert(at >= now_ && "cannot schedule into the past");
-  Event ev;
-  ev.time = std::max(at, now_);
-  ev.seq = next_seq_++;
-  ev.id = next_id_++;
-  ev.cb = std::move(cb);
-  EventHandle h(ev.id);
-  live_.insert(ev.id);
-  heap_.push_back(std::move(ev));
+  settled_.push_back(false);
+  const std::uint64_t id = settled_.size();
+  heap_.push_back(Event{std::max(at, now_), id, std::move(cb)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  return h;
+  return EventHandle(id);
 }
 
 bool Scheduler::cancel(EventHandle h) {
   affinity_.check();
-  if (!h.valid()) return false;
   // Only genuinely pending events can be cancelled: a handle whose event
-  // already ran (or was already cancelled) is a no-op. Erasing from the
-  // live set first makes double-cancel counted exactly once — the id can
-  // enter `cancelled_` at most once, so pending() never under-reports.
-  if (live_.erase(h.id_) == 0) return false;
-  // Ids are unique and never reused, so recording the id suffices; the
-  // event body is dropped when it reaches the front of the heap.
-  cancelled_.insert(h.id_);
+  // already ran (or was already cancelled) is a no-op, so a tombstone is
+  // counted at most once and pending() never under-reports.
+  if (!h.valid() || h.id_ > settled_.size() || settled_[h.id_ - 1]) {
+    return false;
+  }
+  settled_[h.id_ - 1] = true;
+  ++cancelled_;
   return true;
+}
+
+void Scheduler::drop_cancelled_front() {
+  // An unsettled event at the front is live; a settled one can only be a
+  // tombstone, because dispatch pops before it settles.
+  while (!heap_.empty() && settled_[heap_.front().id - 1]) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    --cancelled_;
+  }
 }
 
 bool Scheduler::pop_one() {
   affinity_.check();
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event ev = std::move(heap_.back());
-    heap_.pop_back();
-    if (cancelled_.erase(ev.id) != 0) continue;
-    live_.erase(ev.id);
-    now_ = ev.time;
-    ++dispatched_;
-    if (observer_ != nullptr) observer_->on_dispatch(now_, dispatched_);
-    ev.cb();
-    return true;
-  }
-  return false;
+  drop_cancelled_front();
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
+  settled_[ev.id - 1] = true;
+  now_ = ev.time;
+  ++dispatched_;
+  if (observer_ != nullptr) observer_->on_dispatch(now_, dispatched_);
+  ev.cb();
+  return true;
 }
 
 std::size_t Scheduler::run() {
@@ -61,14 +63,10 @@ std::size_t Scheduler::run_until(SimTime until) {
   affinity_.check();
   std::size_t n = 0;
   for (;;) {
-    // Drop cancelled tombstones at the front first: the boundary check must
-    // see the earliest *live* event, otherwise a cancelled event inside the
-    // window would let pop_one() execute a live event beyond `until`.
-    while (!heap_.empty() && cancelled_.count(heap_.front().id) != 0) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      cancelled_.erase(heap_.back().id);
-      heap_.pop_back();
-    }
+    // The boundary check must see the earliest *live* event, otherwise a
+    // cancelled event inside the window would let pop_one() execute a
+    // live event beyond `until`.
+    drop_cancelled_front();
     if (heap_.empty() || heap_.front().time > until) break;
     if (pop_one()) ++n;
   }
@@ -80,18 +78,12 @@ bool Scheduler::step() { return pop_one(); }
 
 void Scheduler::reset() {
   affinity_.rebind();
-  // Move-assign empty containers so the old storage is deallocated into the
-  // arena's free lists now, not at destruction — the owning SimContext
-  // resets the arena immediately after this call, and the arena contract
-  // requires no container to still hold arena memory at that point.
-  heap_ = std::vector<Event, EventAlloc>(EventAlloc(arena_));
-  live_ = IdSet(IdAlloc(arena_));
-  cancelled_ = IdSet(IdAlloc(arena_));
+  heap_.clear();
+  settled_.clear();
+  cancelled_ = 0;
   observer_ = nullptr;
   dispatched_ = 0;
   now_ = 0;
-  next_seq_ = 1;
-  next_id_ = 1;
 }
 
 }  // namespace avsec::core

@@ -1,39 +1,37 @@
 // Discrete-event simulation kernel.
 //
-// A Scheduler owns a binary heap of (time, sequence, callback) events.
-// Events scheduled for the same instant fire in scheduling order, which
+// A Scheduler owns a binary heap of (time, id, callback) events. Ids are
+// handed out in scheduling order, so they double as the tie-breaker:
+// events scheduled for the same instant fire in scheduling order, which
 // keeps runs bit-reproducible across platforms.
 //
-// Cancellation is lazy: cancel() only moves the event id from the live set
-// to the cancelled set (both O(1) hash-set operations — campaigns cancel
-// thousands of retransmit/watchdog timers per run, so the old linear scans
-// over the pending list dominated profiles); the event body is dropped when
-// it reaches the front of the heap. Popping moves the event out of the heap
-// storage instead of copying it, so a pop never copy-constructs the
-// std::function payload.
+// Cancellation is lazy: cancel() only marks the event settled (one bit in
+// a vector indexed by id — campaigns cancel thousands of retransmit and
+// watchdog timers per run, so cancellation must be O(1)) and counts it as
+// a tombstone; the event body is dropped when it reaches the front of the
+// heap. Popping moves the event out of the heap storage instead of
+// copying it, so a pop never copy-constructs the std::function payload.
 //
-// Allocation: a Scheduler constructed over a core::EventArena serves its
-// heap storage and live/tombstone set nodes from that arena instead of
-// the global allocator — the per-worker allocation domain that lets
-// parallel campaign sweeps scale (see DESIGN.md §8). The default
-// constructor keeps the global heap, so existing call sites are
-// unchanged. reset() restores the exact freshly-constructed state (and
-// returns arena memory first), which is what makes pooled-context reuse
-// byte-identical to building a new scheduler per run.
+// Memory: the settled bits grow by one bit per scheduled event until
+// reset() — about 250 KB at serve's 2M-event `busy-loop` budget. reset()
+// clears both vectors without releasing their capacity, so a pooled
+// scheduler (fault::SimContext) runs every seed after the first on warm
+// storage. reset() restores the exact freshly-constructed state, which is
+// what makes pooled-context reuse byte-identical to building a new
+// scheduler per run.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
-#include "avsec/core/arena.hpp"
 #include "avsec/core/sync.hpp"
 #include "avsec/core/time.hpp"
 
 namespace avsec::core {
 
-/// Handle to a scheduled event, usable for cancellation.
+/// Handle to a scheduled event, usable for cancellation. A handle belongs
+/// to one run: reset() restarts ids, so do not keep handles across it.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -58,24 +56,11 @@ class EventHandle {
 /// that confinement (not a lock) is the thread-safety story. The embedded
 /// ThreadAffinity checker enforces it in debug / AVSEC_AFFINITY_CHECKS
 /// builds: the scheduler binds to the first thread that mutates it and
-/// aborts if a second thread ever does. Use rebind_thread() for the
-/// build-on-one-thread / run-on-another handoff pattern.
+/// aborts if a second thread ever does. reset() rebinds it to the calling
+/// thread, which is the build-on-one-thread / run-on-another handoff.
 class Scheduler {
  public:
   using Callback = std::function<void()>;
-
-  /// Global-heap scheduler (the default; behavior unchanged).
-  Scheduler() : Scheduler(nullptr) {}
-
-  /// Arena-backed scheduler: heap storage and live/tombstone nodes come
-  /// from `arena` (nullptr degrades to the global heap). The arena must
-  /// outlive the scheduler and must not be reset while the scheduler
-  /// still holds events — reset() this scheduler first.
-  explicit Scheduler(EventArena* arena)
-      : arena_(arena),
-        heap_(EventAlloc(arena)),
-        live_(IdAlloc(arena)),
-        cancelled_(IdAlloc(arena)) {}
 
   /// Telemetry tap on event dispatch (implemented by avsec::obs — core
   /// cannot depend on obs, so the scheduler only sees this interface).
@@ -97,7 +82,7 @@ class Scheduler {
   /// read the current one and forward to it from their own on_dispatch.
   DispatchObserver* dispatch_observer() const { return observer_; }
 
-  /// Total events executed over the scheduler's lifetime.
+  /// Total events executed since construction or the last reset().
   std::uint64_t dispatched() const { return dispatched_; }
 
   /// Current simulation time. Starts at 0.
@@ -126,51 +111,39 @@ class Scheduler {
   bool step();
 
   /// Number of genuinely pending events (cancelled-but-unpopped excluded).
-  std::size_t pending() const { return heap_.size() - cancelled_.size(); }
+  std::size_t pending() const { return heap_.size() - cancelled_; }
 
-  /// Transfers thread-confinement ownership to the calling thread.
-  void rebind_thread() { affinity_.rebind(); }
-
-  /// Restores the exact freshly-constructed state: queue emptied, clocks
-  /// and counters rewound, observer removed, affinity rebound to the
-  /// calling thread. Containers are move-assigned fresh so their storage
-  /// returns to the arena *before* the owning SimContext resets it.
+  /// Restores the exact freshly-constructed state: queue emptied, clock,
+  /// ids and counters rewound, observer removed, affinity rebound to the
+  /// calling thread. The vectors keep their capacity.
   void reset();
-
-  /// Arena this scheduler allocates from (nullptr = global heap).
-  EventArena* arena() const { return arena_; }
 
  private:
   struct Event {
     SimTime time = 0;
-    std::uint64_t seq = 0;  // tie-breaker: FIFO among equal times
-    std::uint64_t id = 0;
+    std::uint64_t id = 0;  // 1, 2, 3, ... in scheduling order
     Callback cb;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
+      return a.id > b.id;  // FIFO among equal times
     }
   };
 
   bool pop_one();
-
-  using EventAlloc = ArenaAllocator<Event>;
-  using IdAlloc = ArenaAllocator<std::uint64_t>;
-  using IdSet = std::unordered_set<std::uint64_t, std::hash<std::uint64_t>,
-                                   std::equal_to<std::uint64_t>, IdAlloc>;
+  /// Drops cancelled events from the front of the heap.
+  void drop_cancelled_front();
 
   ThreadAffinity affinity_;  // single-thread confinement (see class docs)
   DispatchObserver* observer_ = nullptr;
   std::uint64_t dispatched_ = 0;
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t next_id_ = 1;
-  EventArena* arena_ = nullptr;
-  std::vector<Event, EventAlloc> heap_;  // std::push_heap/pop_heap with Later
-  IdSet live_;       // genuinely pending ids
-  IdSet cancelled_;  // awaiting lazy removal
+  std::vector<Event> heap_;  // std::push_heap/pop_heap with Later
+  /// settled_[id - 1] is set once event `id` is dispatched or cancelled;
+  /// its size is the last id handed out.
+  std::vector<bool> settled_;
+  std::size_t cancelled_ = 0;  // cancelled events still in heap_
 };
 
 }  // namespace avsec::core

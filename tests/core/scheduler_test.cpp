@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
+
+#include "avsec/core/rng.hpp"
 
 namespace avsec::core {
 namespace {
@@ -265,6 +269,80 @@ TEST(Scheduler, ManyCancellationsStayConsistentUnderChurn) {
   }
   EXPECT_EQ(sim.pending(), 0u);
   EXPECT_GT(fired, 0);
+}
+
+// --- reset-determinism: fresh vs reset-and-reused ----------------------
+
+// One pseudo-random scheduling workload, heavy on cancellation so the
+// settled bits and lazy-removal paths are exercised: a fraction of events
+// get cancelled (some before running, some doubly), and every dispatch
+// appends (time, tag) to the log. The log is the run's full observable
+// behavior.
+std::vector<std::pair<SimTime, int>> drive(Scheduler& sim,
+                                           std::uint64_t seed) {
+  std::vector<std::pair<SimTime, int>> log;
+  Rng rng(seed);
+  std::vector<EventHandle> handles;
+  for (int tag = 0; tag < 200; ++tag) {
+    const SimTime at = static_cast<SimTime>(rng.next() % 10'000);
+    handles.push_back(sim.schedule_at(at, [&log, &sim, tag] {
+      log.emplace_back(sim.now(), tag);
+    }));
+  }
+  // Cancel ~a third, with repeats (double-cancel must stay a no-op).
+  for (int i = 0; i < 100; ++i) {
+    const std::size_t k = rng.next() % handles.size();
+    sim.cancel(handles[k]);
+  }
+  // Mid-run rescheduling, interleaved with a bounded run_until so
+  // cancelled tombstones are drained at window boundaries too.
+  sim.run_until(5'000);
+  for (int tag = 200; tag < 260; ++tag) {
+    const SimTime at =
+        sim.now() + static_cast<SimTime>(rng.next() % 5'000);
+    handles.push_back(sim.schedule_at(at, [&log, &sim, tag] {
+      log.emplace_back(sim.now(), tag);
+    }));
+  }
+  for (int i = 0; i < 30; ++i) {
+    const std::size_t k = rng.next() % handles.size();
+    sim.cancel(handles[k]);
+  }
+  sim.run();
+  return log;
+}
+
+TEST(Scheduler, ReuseAfterResetIsBitIdentical) {
+  Scheduler fresh;
+  const auto expected = drive(fresh, 7);
+  ASSERT_FALSE(expected.empty());
+
+  // Three rounds over one scheduler: each reset must restore the exact
+  // fresh state (ids, clock, settled bits, tombstone count), so every
+  // round reproduces the fresh log bit for bit.
+  Scheduler reused;
+  for (int round = 0; round < 3; ++round) {
+    reused.reset();
+    EXPECT_EQ(drive(reused, 7), expected) << "round " << round;
+  }
+}
+
+TEST(Scheduler, ResetRestoresFreshObservableState) {
+  Scheduler sim;
+  sim.schedule_at(10, [] {});
+  auto h = sim.schedule_at(20, [] {});
+  sim.cancel(h);
+  sim.schedule_at(30, [] {});
+  sim.run_until(15);
+  EXPECT_GT(sim.dispatched(), 0u);
+  EXPECT_GT(sim.now(), 0);
+  EXPECT_EQ(sim.pending(), 1u);
+
+  sim.reset();
+  EXPECT_EQ(sim.now(), 0);
+  EXPECT_EQ(sim.dispatched(), 0u);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.dispatch_observer(), nullptr);
 }
 
 TEST(Time, BitTimeRoundsToNearestPicosecond) {

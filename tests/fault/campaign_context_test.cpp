@@ -72,7 +72,7 @@ Metrics run_workload(core::Scheduler& sim, std::uint64_t seed) {
 }
 
 // The fresh-world reference: ignores the pooled context and builds a new
-// global-heap Scheduler per run.
+// Scheduler per run.
 Metrics scenario_plain(SimContext& /*ctx*/, std::uint64_t seed) {
   core::Scheduler sim;
   return run_workload(sim, seed);
@@ -240,7 +240,14 @@ TEST(CampaignContext, ResetRestoresAFreshSimulation) {
   const auto second = run_workload(ctx.sim(), 5);
   EXPECT_EQ(first, second);  // map<string,double> equality on same bits
   EXPECT_EQ(ctx.resets(), 1u);
-  EXPECT_GT(ctx.arena().allocations(), 0u);
+  // A reused context carries nothing into the next run, not even work the
+  // previous run left queued.
+  ctx.sim().schedule_in(core::seconds(1), [] {});
+  ASSERT_GT(ctx.sim().dispatched(), 0u);
+  ASSERT_EQ(ctx.sim().pending(), 1u);
+  ctx.reset();
+  EXPECT_EQ(ctx.sim().pending(), 0u);
+  EXPECT_EQ(ctx.sim().dispatched(), 0u);
 }
 
 }  // namespace

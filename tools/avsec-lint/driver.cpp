@@ -15,7 +15,7 @@ namespace fs = std::filesystem;
 namespace avsec::lint {
 namespace {
 
-constexpr const char* kCacheMagic = "avsec-lint-cache v2";
+constexpr const char* kCacheMagic = "avsec-lint-cache v3";
 
 bool read_file(const std::string& path, std::string& out) {
   std::ifstream in(path, std::ios::binary);
@@ -122,13 +122,10 @@ void write_entry(std::ostream& os, std::uint64_t hash,
     }
     for (const std::string& l : fn.locks) os << "l " << l << '\n';
     for (const std::string& q : fn.require) os << "q " << q << '\n';
-    for (const Touch& a : fn.arena_stores) {
-      os << "a " << a.name << ' ' << a.line << '\n';
-    }
   }
   for (const MemberDecl& m : af.index.members) {
     os << "m " << opt(m.cls) << ' ' << m.name << ' ' << m.line << ' '
-       << opt(m.guarded_by) << ' ' << (m.arena_backed ? 1 : 0) << '\n';
+       << opt(m.guarded_by) << '\n';
   }
   for (const RequireDecl& r : af.index.require_decls) {
     os << "r " << opt(r.cls) << ' ' << r.name << ' ' << r.cap << '\n';
@@ -201,8 +198,7 @@ bool load_cache(const std::string& path,
       fn.ctor_dtor = cd != 0;
       fn.source_name = unopt(src);
       cur.af.index.fns.push_back(std::move(fn));
-    } else if (tag == 'c' || tag == 't' || tag == 'l' || tag == 'q' ||
-               tag == 'a') {
+    } else if (tag == 'c' || tag == 't' || tag == 'l' || tag == 'q') {
       if (cur.af.index.fns.empty()) return false;
       FnDef& fn = cur.af.index.fns.back();
       if (tag == 'c') {
@@ -212,11 +208,11 @@ bool load_cache(const std::string& path,
         if (c.name.empty()) return false;
         c.qual = unopt(qual);
         fn.calls.push_back(std::move(c));
-      } else if (tag == 't' || tag == 'a') {
+      } else if (tag == 't') {
         Touch t;
         ls >> t.name >> t.line;
         if (t.name.empty()) return false;
-        (tag == 't' ? fn.touches : fn.arena_stores).push_back(std::move(t));
+        fn.touches.push_back(std::move(t));
       } else {
         std::string name;
         ls >> name;
@@ -226,12 +222,10 @@ bool load_cache(const std::string& path,
     } else if (tag == 'm') {
       MemberDecl m;
       std::string cls, guard;
-      int arena = 0;
-      ls >> cls >> m.name >> m.line >> guard >> arena;
+      ls >> cls >> m.name >> m.line >> guard;
       if (m.name.empty()) return false;
       m.cls = unopt(cls);
       m.guarded_by = unopt(guard);
-      m.arena_backed = arena != 0;
       cur.af.index.members.push_back(std::move(m));
     } else if (tag == 'r') {
       RequireDecl r;
@@ -303,8 +297,6 @@ constexpr RuleDoc kRuleDocs[] = {
      "pooled-class member not reassigned by reset()"},
     {"R7", "unguarded-member-touch",
      "AVSEC_GUARDED_BY member touched without its mutex"},
-    {"R8", "arena-escape",
-     "arena-backed state stored outside the owning context"},
 };
 
 }  // namespace

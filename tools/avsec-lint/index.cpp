@@ -250,8 +250,8 @@ class IndexBuilder {
     }
   }
 
-  // Type aliases that forward a banned nondeterminism name or an
-  // arena-backed type: `using wall_clock = std::chrono::steady_clock;`
+  // Type aliases that forward a banned nondeterminism name:
+  // `using wall_clock = std::chrono::steady_clock;`
   // makes `wall_clock` a taint seed wherever it is read in this file.
   void collect_aliases() {
     for (int ci = 0; ci + 2 < ncode(); ++ci) {
@@ -260,7 +260,6 @@ class IndexBuilder {
       }
       const std::string alias(text(ci + 1));
       bool banned = false;
-      bool arena = false;
       int alias_line = tok(ci + 1).line;
       for (int j = ci + 3; j < ncode() && text(j) != ";"; ++j) {
         if (!is_ident(j)) continue;
@@ -268,12 +267,8 @@ class IndexBuilder {
         if (banned_always_names().count(n) || banned_aliases_.count(std::string(n))) {
           banned = true;
         }
-        if (n == "ArenaAllocator" || arena_aliases_.count(std::string(n))) {
-          arena = true;
-        }
       }
       if (banned) banned_aliases_[alias] = alias_line;
-      if (arena) arena_aliases_.insert(alias);
     }
   }
 
@@ -450,7 +445,6 @@ class IndexBuilder {
     if (info.kind == Scope::kFn && !in_function()) {
       s.kind = Scope::kFn;
       touched_.clear();
-      static_stmt_line_ = -1;
       FnDef fn;
       fn.name = info.name;
       fn.line = info.line;
@@ -495,10 +489,7 @@ class IndexBuilder {
     FnDef* fn = current_fn();
     if (fn == nullptr || !is_ident(ci)) return;
     const std::string_view name = text(ci);
-    if (is_keyword(ci)) {
-      if (name == "static") static_stmt_line_ = tok(ci).line;
-      return;
-    }
+    if (is_keyword(ci)) return;
     const std::string_view prev = text(ci - 1);
     const int line = tok(ci).line;
 
@@ -566,19 +557,6 @@ class IndexBuilder {
       }
       fn->calls.push_back(std::move(call));
     }
-
-    // Arena escapes: storing an allocate() result into state that outlives
-    // the statement — a member (trailing '_') or a static local.
-    if ((ends_with(name, "_") || static_stmt_line_ == line) &&
-        text(ci + 1) == "=" && prev != "." && prev != "->") {
-      for (int j = ci + 2, guard = 0; j < ncode() && guard < 64; ++j, ++guard) {
-        if (text(j) == ";") break;
-        if (is_ident(j) && text(j) == "allocate" && text(j + 1) == "(") {
-          fn->arena_stores.push_back({std::string(name), line});
-          break;
-        }
-      }
-    }
   }
 
   // ---- class-body member extraction -----------------------------------
@@ -637,7 +615,7 @@ class IndexBuilder {
             last.first[0] == '_')) {
         return;
       }
-      add_member(cls->name, last.first, last.second, "", false);
+      add_member(cls->name, last.first, last.second, "");
       return;
     }
     parse_member_declarators(cls->name,
@@ -671,20 +649,6 @@ class IndexBuilder {
         break;
       }
     }
-    // Arena-backed type detection over the full statement.
-    bool has_arena_alloc = false;
-    bool has_event_arena = false;
-    bool has_ptr_or_ref = false;
-    for (const auto& [s, line] : stmt) {
-      if (s == "ArenaAllocator" || arena_aliases_.count(s)) {
-        has_arena_alloc = true;
-      }
-      if (s == "EventArena") has_event_arena = true;
-      if (s == "*" || s == "&") has_ptr_or_ref = true;
-    }
-    const bool arena_backed =
-        has_arena_alloc || (has_event_arena && has_ptr_or_ref);
-
     // Region holding the declarators: everything before the annotation (if
     // any), cut at the first top-level '='.
     const std::size_t region_end =
@@ -730,7 +694,7 @@ class IndexBuilder {
     }
     if (!cand.empty() && !fn_decl) names.emplace_back(cand, cand_line);
     for (auto& [name, line] : names) {
-      add_member(cls, name, line, guard, arena_backed);
+      add_member(cls, name, line, guard);
     }
     // A method declaration carrying AVSEC_REQUIRES: remember the caps so
     // R7 honors them at the out-of-line definition.
@@ -750,14 +714,13 @@ class IndexBuilder {
   }
 
   void add_member(const std::string& cls, const std::string& name, int line,
-                  const std::string& guard, bool arena) {
+                  const std::string& guard) {
     if (name.empty() || cls.empty()) return;
     MemberDecl m;
     m.cls = cls;
     m.name = name;
     m.line = line;
     m.guarded_by = guard;
-    m.arena_backed = arena;
     idx_.members.push_back(std::move(m));
   }
 
@@ -767,9 +730,7 @@ class IndexBuilder {
   std::vector<Scope> stack_;
   FileIndex idx_;
   std::map<std::string, int> banned_aliases_;  // alias -> declaration line
-  std::set<std::string> arena_aliases_;
   std::set<std::string> touched_;  // per-function dedupe, cleared on entry
-  int static_stmt_line_ = -1;
 };
 
 }  // namespace

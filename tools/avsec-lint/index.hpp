@@ -1,7 +1,7 @@
 // avsec-lint pass 1: the per-file project index.
 //
 // The per-line rules (R1-R4, rules.hpp) see one token stream at a time;
-// the whole-program rules (R5-R8, project.hpp) need to see across
+// the whole-program rules (R5-R7, project.hpp) need to see across
 // translation units: a call graph to propagate nondeterminism taint, the
 // member list of a class whose reset() lives in another file, the guard
 // annotation of a member touched by an out-of-line method. build_index()
@@ -12,9 +12,7 @@
 //   - every function/method definition with its call sites, the distinct
 //     identifiers its body touches, the mutexes it locks or AVSEC_REQUIRES,
 //     and whether its body reads a nondeterminism source directly,
-//   - every class data-member declaration with its AVSEC_GUARDED_BY guard
-//     and whether its type is arena-backed (ArenaAllocator / EventArena
-//     handle),
+//   - every class data-member declaration with its AVSEC_GUARDED_BY guard,
 //   - the file's ALLOW suppressions (whole-program findings
 //     are attributed to declaration/call lines, so suppression ranges must
 //     travel with the index to wherever the finding is finally decided).
@@ -88,7 +86,6 @@ struct FnDef {
   std::vector<std::string> require;  // AVSEC_REQUIRES capabilities
   std::string source_name;  // first nondeterminism source read; "" = none
   int source_line = 0;
-  std::vector<Touch> arena_stores;   // `member_/static = ...allocate(...)`
 };
 
 /// An AVSEC_REQUIRES capability attached to an in-class method
@@ -106,7 +103,6 @@ struct MemberDecl {
   std::string name;
   int line = 0;
   std::string guarded_by;   // AVSEC_GUARDED_BY capability; "" = unguarded
-  bool arena_backed = false;  // ArenaAllocator<...> / EventArena* / &
 };
 
 /// Everything pass 2 needs to know about one file.

@@ -24,7 +24,7 @@ namespace {
 constexpr const char* kUsage =
     "usage: avsec-lint [--root DIR] [--jobs N] [--cache FILE]\n"
     "                  [--sarif FILE] [--list-rules] [path...]\n"
-    "  Scans C++ sources for determinism/hygiene violations (R1-R8).\n"
+    "  Scans C++ sources for determinism/hygiene violations (R1-R7).\n"
     "  Paths are files or directories (recursed); default: src tests\n"
     "  bench examples tools. Fixture trees (tests/tools/fixtures) and\n"
     "  build directories are skipped.\n"
@@ -46,8 +46,6 @@ constexpr const char* kRules =
     "    (reset-determinism contract, DESIGN.md section 8)\n"
     "R7  AVSEC_GUARDED_BY member touched in a method that neither locks\n"
     "    nor AVSEC_REQUIRES its mutex\n"
-    "R8  arena-backed state stored outside the arena-owning contexts\n"
-    "    (core/arena, core/scheduler, fault/context)\n"
     "\n"
     "Suppress with: // AVSEC-LINT-ALLOW(<rule>): <reason>\n";
 

@@ -51,7 +51,6 @@ class ProjectLint {
     rule_r5();
     rule_r6();
     rule_r7();
-    rule_r8();
     std::sort(findings_.begin(), findings_.end());
     findings_.erase(std::unique(findings_.begin(), findings_.end(),
                                 [](const Finding& a, const Finding& b) {
@@ -257,31 +256,6 @@ class ProjectLint {
                     "' neither locks nor AVSEC_REQUIRES it: data race "
                     "on gcc builds that clang TSA would reject");
           }
-        }
-      }
-    }
-  }
-
-  // ---- R8: arena-backed state escaping its owner ----------------------
-  void rule_r8() {
-    for (int fi = 0; fi < static_cast<int>(pi_.files.size()); ++fi) {
-      const PathClass& pc = pcs_[static_cast<std::size_t>(fi)];
-      if (pc.r8_owner) continue;
-      for (const MemberDecl& m : file(fi).members) {
-        if (!m.arena_backed) continue;
-        add(fi, m.line, "R8",
-            "arena-backed member '" + m.name + "' of '" + m.cls +
-                "' outside the arena-owning contexts (core/arena, "
-                "core/scheduler, fault/context): the memory dies at the "
-                "owner's reset() while this object lives on");
-      }
-      for (const FnDef& f : file(fi).fns) {
-        for (const Touch& s : f.arena_stores) {
-          add(fi, s.line, "R8",
-              "arena allocate() result stored into '" + s.name + "' in '" +
-                  (f.cls.empty() ? f.name : f.cls + "::" + f.name) +
-                  "': the allocation dies at the owning context's reset() "
-                  "while the stored pointer survives");
         }
       }
     }

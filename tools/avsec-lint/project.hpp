@@ -11,8 +11,8 @@
 //       this wall-clock island is by design and callers are fine), or a
 //       single call site is waived with ALLOW(R5) at the call.
 //   R6  reset-completeness — for classes declared in the pooled-reuse
-//       paths (fault/context, core/scheduler, core/arena, obs/trace,
-//       obs/metrics, serve/server) that expose reset() (or clear() when no
+//       paths (fault/context, core/scheduler, obs/trace, obs/metrics,
+//       serve/server) that expose reset() (or clear() when no
 //       reset() exists), every data member must be mentioned by the reset
 //       body or carry ALLOW(R6) on its declaration. This is the static
 //       half of the reset-determinism contract (DESIGN.md §8).
@@ -21,10 +21,6 @@
 //       guard or .lock()) or declare AVSEC_REQUIRES(mu). Constructors and
 //       destructors are exempt (single-threaded by construction). This is
 //       the gcc-build analogue of clang -Wthread-safety.
-//   R8  arena-escape — ArenaAllocator-backed members and stored results of
-//       arena allocate() calls are only legal inside the arena-owning
-//       contexts (core/arena, core/scheduler, fault/context); anywhere
-//       else the stored memory dies at someone else's reset().
 //
 // All pass-2 findings are attributed to a concrete (file, line) — member
 // declaration, call site, or touch — and the ALLOW machinery works there
@@ -47,7 +43,7 @@ struct ProjectIndex {
   std::vector<FileIndex> files;
 };
 
-/// Runs R5-R8 over the merged index. Findings are sorted and already
+/// Runs R5-R7 over the merged index. Findings are sorted and already
 /// filtered through each file's suppressions (R0 for malformed waivers is
 /// emitted by pass 1, not here).
 std::vector<Finding> lint_project(const ProjectIndex& pi);
@@ -55,7 +51,7 @@ std::vector<Finding> lint_project(const ProjectIndex& pi);
 /// Full pipeline over in-memory sources: per-line pass on each file, then
 /// the project pass over the merged indexes; one sorted findings list.
 /// This is exactly what the driver does for a cold filesystem scan, and
-/// what fixture tests use to exercise R5-R8 deterministically.
+/// what fixture tests use to exercise R5-R7 deterministically.
 std::vector<Finding> lint_sources(
     const std::vector<std::pair<std::string, std::string>>& label_and_source);
 

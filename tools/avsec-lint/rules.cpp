@@ -416,15 +416,10 @@ PathClass classify_path(std::string_view label) {
   pc.wpa = (starts_with(norm, "src/") || contains(norm, "/src/"));
   pc.barrier = pc.r1_exempt;
   static const char* kPoolPaths[] = {"fault/context", "core/scheduler",
-                                     "core/arena",    "obs/trace",
-                                     "obs/metrics",   "serve/server"};
+                                     "obs/trace",     "obs/metrics",
+                                     "serve/server"};
   for (const char* p : kPoolPaths) {
     if (contains(norm, p)) pc.r6_pool = true;
-  }
-  static const char* kOwnerPaths[] = {"core/arena", "core/scheduler",
-                                      "fault/context"};
-  for (const char* p : kOwnerPaths) {
-    if (contains(norm, p)) pc.r8_owner = true;
   }
   return pc;
 }

@@ -40,7 +40,7 @@ namespace avsec::lint {
 struct Finding {
   std::string file;  // root-relative label, forward slashes
   int line = 0;
-  std::string rule;     // "R0".."R8"
+  std::string rule;     // "R0".."R7"
   std::string message;  // human explanation, one line
   std::string excerpt;  // trimmed source line
 };
@@ -59,11 +59,10 @@ struct PathClass {
   bool r2_applies = false;     // aggregation/reporting paths only
   bool r3_applies = false;     // src/ and tools/ outside core/stats
   bool header = false;         // R4 target
-  // Whole-program (R5-R8) scopes, all derived from the label too:
+  // Whole-program (R5-R7) scopes, all derived from the label too:
   bool wpa = false;            // R5 call-graph scope: sim/reporting src/
   bool barrier = false;        // taint barrier: core/rng.* and bench/
   bool r6_pool = false;        // pooled-reuse classes live here (reset law)
-  bool r8_owner = false;       // arena-owning contexts (may hold arena state)
 };
 PathClass classify_path(std::string_view label);
 
