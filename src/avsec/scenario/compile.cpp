@@ -576,6 +576,10 @@ fault::Metrics run_t1s_world(const ScenarioSpec& spec, core::Scheduler& sim,
   m["attack_rejected"] = static_cast<double>(attack_rejected);
   m["monitor_downs"] = static_cast<double>(mt.downs);
   m["monitor_recoveries"] = static_cast<double>(mt.recoveries);
+  // mean() before max(): max() sorts the samples in place, and the mean
+  // must sum them in delivery order to stay bit-exact across builds.
+  m["access_mean_us"] = bus.access_latency().mean();
+  m["access_max_us"] = bus.access_latency().max();
   return m;
 }
 
