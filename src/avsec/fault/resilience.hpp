@@ -64,6 +64,7 @@ inline bool is_quarantined(RunStatus s) {
 struct SupervisionConfig {
   /// Sim-time event budget per attempt: the run is aborted with
   /// kBudgetExhausted after dispatching this many scheduler events.
+  /// Only real dispatches count: an idle T1S bus adds none.
   /// 0 = unlimited. Deterministic (a pure function of the seed).
   std::uint64_t max_events = 0;
   /// Wall-clock deadline per attempt, milliseconds; 0 = unlimited. The

@@ -1,16 +1,37 @@
 #include "avsec/netsim/t1s.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace avsec::netsim {
 
+namespace {
+
+T1sConfig checked(T1sConfig c) {
+  // A zero-length round would never advance the clock.
+  if (c.bitrate <= 0 || core::bit_time(c.bitrate) <= 0 ||
+      c.to_timer_bits <= 0 || c.beacon_bits < 0) {
+    throw std::invalid_argument(
+        "T1sBus: need a bit time of at least 1 ps, to_timer_bits > 0 and "
+        "beacon_bits >= 0");
+  }
+  return c;
+}
+
+}  // namespace
+
 T1sBus::T1sBus(core::Scheduler& sim, T1sConfig config)
-    : sim_(sim), config_(std::move(config)) {
+    : sim_(sim),
+      config_(checked(std::move(config))),
+      to_time_(core::transmission_time(config_.to_timer_bits, config_.bitrate)),
+      beacon_time_(
+          core::transmission_time(config_.beacon_bits, config_.bitrate)) {
   AVSEC_OBS_REGISTER_TRACK(obs_track_, config_.name);
 }
 
 int T1sBus::attach(std::string name, RxCallback on_rx) {
-  assert(!started_ && "attach all nodes before start()");
+  if (started_) {
+    throw std::logic_error("T1sBus::attach: attach all nodes before start()");
+  }
   nodes_.push_back(Node{std::move(name), std::move(on_rx), {}});
   return static_cast<int>(nodes_.size()) - 1;
 }
@@ -20,62 +41,95 @@ void T1sBus::set_rx(int node, RxCallback on_rx) {
 }
 
 void T1sBus::start() {
-  assert(!nodes_.empty());
+  if (started_ || nodes_.empty()) {
+    throw std::logic_error("T1sBus::start: call once, after attach()");
+  }
   started_ = true;
-  sim_.schedule_in(
-      core::transmission_time(config_.beacon_bits, config_.bitrate),
-      [this] { run_cycle_step(); });
+  holder_ = 0;
+  to_start_ = sim_.now() + beacon_time_;
+  arm_first_queued();
 }
 
 void T1sBus::send(int node, EthFrame frame) {
-  assert(node >= 0 && node < static_cast<int>(nodes_.size()));
-  nodes_[static_cast<std::size_t>(node)].queue.push_back(
-      Pending{std::move(frame), sim_.now()});
+  auto& queue = nodes_.at(static_cast<std::size_t>(node)).queue;
+  queue.push_back(Pending{std::move(frame), sim_.now()});
+  // A node with an older frame is already covered by the wake.
+  if (started_ && queue.size() == 1) {
+    const auto n = static_cast<std::size_t>(node);
+    arm(n, next_to(n, sim_.now()));
+  }
 }
 
-void T1sBus::run_cycle_step() {
-  Node& holder = nodes_[current_];
-  core::SimTime hold_time;
-
-  if (!holder.queue.empty()) {
-    Pending p = std::move(holder.queue.front());
-    holder.queue.erase(holder.queue.begin());
-
-    const core::SimTime duration =
-        core::transmission_time(p.frame.wire_bits(), config_.bitrate);
-    hold_time = duration;
-    busy_time_ += duration;
-    access_latency_.add(core::to_microseconds(sim_.now() - p.enqueued_at));
-    ++frames_delivered_;
-    AVSEC_TRACE_BEGIN(obs::Category::kEthernet, "t1s-frame", obs_track_,
-                      sim_.now(), static_cast<std::int64_t>(current_),
-                      static_cast<std::int64_t>(holder.queue.size()),
-                      holder.name);
-    AVSEC_METRIC_OBSERVE("t1s.access_latency_us",
-                         core::to_microseconds(sim_.now() - p.enqueued_at));
-
-    const int src = static_cast<int>(current_);
-    const EthFrame frame = std::move(p.frame);
-    sim_.schedule_in(duration, [this, src, frame] {
-      AVSEC_TRACE_END(obs::Category::kEthernet, "t1s-frame", obs_track_,
-                      sim_.now());
-      AVSEC_METRIC_INC("t1s.frames_delivered", 1);
-      for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        if (static_cast<int>(i) == src) continue;
-        if (nodes_[i].on_rx) nodes_[i].on_rx(src, frame, sim_.now());
-      }
-    });
-  } else {
-    // Yield the transmit opportunity after the TO window.
-    hold_time = core::transmission_time(config_.to_timer_bits, config_.bitrate);
+core::SimTime T1sBus::next_to(std::size_t node, core::SimTime t) const {
+  // Idle TOs from the holder's on: one TO per node, plus the beacon when
+  // the count wraps to node 0.
+  const std::size_t n = nodes_.size();
+  const auto hops = static_cast<core::SimTime>((node + n - holder_) % n);
+  core::SimTime at =
+      to_start_ + hops * to_time_ + (node < holder_ ? beacon_time_ : 0);
+  if (at < t) {
+    const core::SimTime round =
+        static_cast<core::SimTime>(n) * to_time_ + beacon_time_;
+    at += (t - at + round - 1) / round * round;
   }
+  return at;
+}
 
-  current_ = (current_ + 1) % nodes_.size();
-  core::SimTime next = hold_time;
-  if (current_ == 0) {
-    next += core::transmission_time(config_.beacon_bits, config_.bitrate);
+void T1sBus::arm(std::size_t node, core::SimTime at) {
+  if (armed_) {
+    if (wake_at_ <= at) return;
+    sim_.cancel(wake_);
   }
-  sim_.schedule_in(next, [this] { run_cycle_step(); });
+  armed_ = true;
+  wake_at_ = at;
+  wake_ = sim_.schedule_at(at, [this, node] { transmit(node); });
+}
+
+void T1sBus::arm_first_queued() {
+  // TOs come in node order from the holder's, so the first node with a
+  // frame has the earliest one.
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const std::size_t node = (holder_ + i) % nodes_.size();
+    if (!nodes_[node].queue.empty()) {
+      arm(node, next_to(node, to_start_));
+      return;
+    }
+  }
+}
+
+void T1sBus::transmit(std::size_t node) {
+  armed_ = false;
+  Node& holder = nodes_[node];
+  Pending p = std::move(holder.queue.front());
+  holder.queue.erase(holder.queue.begin());
+
+  const core::SimTime duration =
+      core::transmission_time(p.frame.wire_bits(), config_.bitrate);
+  busy_time_ += duration;
+  access_latency_.add(core::to_microseconds(sim_.now() - p.enqueued_at));
+  ++frames_delivered_;
+  AVSEC_TRACE_BEGIN(obs::Category::kEthernet, "t1s-frame", obs_track_,
+                    sim_.now(), static_cast<std::int64_t>(node),
+                    static_cast<std::int64_t>(holder.queue.size()),
+                    holder.name);
+  AVSEC_METRIC_OBSERVE("t1s.access_latency_us",
+                       core::to_microseconds(sim_.now() - p.enqueued_at));
+
+  const int src = static_cast<int>(node);
+  sim_.schedule_in(duration, [this, src, frame = std::move(p.frame)] {
+    AVSEC_TRACE_END(obs::Category::kEthernet, "t1s-frame", obs_track_,
+                    sim_.now());
+    AVSEC_METRIC_INC("t1s.frames_delivered", 1);
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      if (static_cast<int>(i) == src) continue;
+      if (nodes_[i].on_rx) nodes_[i].on_rx(src, frame, sim_.now());
+    }
+  });
+
+  // The next TO starts when the frame ends, after the beacon on a wrap.
+  holder_ = (node + 1) % nodes_.size();
+  to_start_ = sim_.now() + duration + (holder_ == 0 ? beacon_time_ : 0);
+  arm_first_queued();
 }
 
 double T1sBus::bus_load() const {

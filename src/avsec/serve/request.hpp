@@ -39,6 +39,9 @@ struct Request {
   /// queued instead of wasting the work.
   std::int64_t deadline_ms = 0;
   /// Per-attempt sim-event budget override; 0 = the scenario's default.
+  /// It counts real scheduler dispatches. The PLCA bus dispatches two per
+  /// delivered frame and none for idle TOs, so a t1s run spends about
+  /// 1/128 of what stepping through every TO would.
   std::uint64_t max_events = 0;
   /// Attach the first seed's sim-time trace dump to the reply (the dump is
   /// a pure function of the seed, so it is part of the rendered reply).
