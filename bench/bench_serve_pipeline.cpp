@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "avsec/core/stats.hpp"
+#include "avsec/scenario/catalog.hpp"
 #include "avsec/serve/serve.hpp"
 #include "harness.hpp"
 
@@ -101,7 +102,7 @@ int main(int argc, char** argv) {
   config.workers = 2;
   config.queue_capacity = 32;
   config.supervisor_poll_ms = 5;
-  serve::Server server(serve::ScenarioRegistry::builtin(), config);
+  serve::Server server(scenario::serve_catalog(), config);
   serve::ServeClient client(server);
 
   // ---- calibration: sequential latency -> sustainable offered rate ----

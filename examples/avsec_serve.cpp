@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "avsec/fault/cli.hpp"
+#include "avsec/scenario/catalog.hpp"
 #include "avsec/scenario/corpus.hpp"
 #include "avsec/serve/serve.hpp"
 
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto registry = avsec::serve::ScenarioRegistry::builtin();
+  auto registry = avsec::scenario::serve_catalog();
   if (!corpus_dir.empty()) {
     // Corpus scenarios join the catalog by spec name: any load error is
     // fatal up front, not a kRejected surprise at request time.

@@ -10,8 +10,8 @@
 //   example_scenario_run --generate 20 --emit dir  # write .avsc files
 //   example_scenario_run --coverage cov.txt s/*.avsc
 //   example_scenario_run --reports REPORTS.txt s/*.avsc
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -46,12 +46,13 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// False when the file cannot be opened, is short-written or fails to close.
 bool write_file(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  return true;
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && written;
 }
 
 bool ends_with(const std::string& s, const char* suffix) {
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
 
-  std::size_t gen_count = 0;
+  std::uint64_t gen_count = 0;
   std::uint64_t gen_seed = 1;
   const char* emit_dir = nullptr;
   bool list_only = false;
@@ -84,11 +85,15 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     const bool has_value = i + 1 < args.size();
-    if (arg == "--generate" && has_value) {
-      gen_count = static_cast<std::size_t>(std::atoll(args[++i].c_str()));
-    } else if (arg == "--seed" && has_value) {
-      gen_seed = static_cast<std::uint64_t>(
-          std::strtoull(args[++i].c_str(), nullptr, 10));
+    std::uint64_t* number = arg == "--generate" ? &gen_count
+                            : arg == "--seed"   ? &gen_seed
+                                                : nullptr;
+    if (number != nullptr) {
+      if (!has_value || !fault::cli::parse_u64(args[++i], *number)) {
+        std::fprintf(stderr, "%s: %s needs a non-negative integer\n",
+                     argv[0], arg.c_str());
+        return usage(argv[0]);
+      }
     } else if (arg == "--emit" && has_value) {
       emit_dir = args[++i].c_str();
     } else if (arg == "--list") {
@@ -124,7 +129,7 @@ int main(int argc, char** argv) {
   }
   if (gen_count > 0) {
     scenario::GeneratorConfig gcfg;
-    gcfg.count = gen_count;
+    gcfg.count = static_cast<std::size_t>(gen_count);
     gcfg.seed = gen_seed;
     for (const scenario::ScenarioSpec& spec : scenario::generate(gcfg)) {
       scenario::CompileResult built = scenario::compile(spec);

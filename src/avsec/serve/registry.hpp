@@ -65,13 +65,12 @@ class ScenarioRegistry {
 
   std::size_t size() const { return scenarios_.size(); }
 
-  /// The built-in catalog served by the avsec-serve daemon:
-  ///   ivn-can       CAN segment under randomized node faults
-  ///   secure-uplink robust TLS session over a partitioning link
-  ///   heartbeat-net multi-source liveness tracking with an outage window
-  ///   poison-crash  diagnostic: throws on every attempt (quarantine path)
-  ///   busy-loop     diagnostic: pumps events forever (budget-trip path)
-  static ScenarioRegistry builtin();
+  /// The two hand-written diagnostics, which no .avsc spec can express:
+  ///   poison-crash  throws on every attempt (quarantine path)
+  ///   busy-loop     pumps events forever (budget-trip path)
+  /// The daemon's catalog is these plus the compiled built-in specs:
+  /// scenario::serve_catalog() (avsec/scenario/catalog.hpp).
+  static ScenarioRegistry diagnostics();
 
  private:
   std::map<std::string, Scenario> scenarios_;

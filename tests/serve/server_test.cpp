@@ -17,11 +17,13 @@
 
 #include "avsec/core/scheduler.hpp"
 #include "avsec/obs/trace.hpp"
+#include "avsec/scenario/catalog.hpp"
 #include "avsec/serve/request.hpp"
 
 namespace {
 
 using namespace avsec::serve;
+using avsec::scenario::serve_catalog;
 namespace core = avsec::core;
 namespace fault = avsec::fault;
 
@@ -52,7 +54,7 @@ Scenario sleeper_scenario(const std::string& name, int sleep_ms) {
 }
 
 TEST(ServerAdmission, UnknownScenarioIsRejected) {
-  Server server(ScenarioRegistry::builtin(), quiet_config());
+  Server server(serve_catalog(), quiet_config());
   ServeClient client(server);
   const Reply r = client.call({"no-such-scenario", {1}});
   EXPECT_EQ(r.status, ReplyStatus::kRejected);
@@ -61,7 +63,7 @@ TEST(ServerAdmission, UnknownScenarioIsRejected) {
 }
 
 TEST(ServerAdmission, EmptySeedListIsRejected) {
-  Server server(ScenarioRegistry::builtin(), quiet_config());
+  Server server(serve_catalog(), quiet_config());
   ServeClient client(server);
   const Reply r = client.call({"ivn-can", {}});
   EXPECT_EQ(r.status, ReplyStatus::kRejected);
@@ -69,10 +71,10 @@ TEST(ServerAdmission, EmptySeedListIsRejected) {
 }
 
 TEST(ServerAdmission, DeadlineBelowStaticCostFloorIsInfeasible) {
-  // ivn-can's cost hint is 2.0 ms/seed: 3 seeds need >= 6 ms, so a 1 ms
+  // ivn-can's cost hint is 2.5 ms/seed: 3 seeds need >= 7.5 ms, so a 1 ms
   // deadline is refused as a pure function of the request — no load
   // estimate involved, identical at any worker count.
-  Server server(ScenarioRegistry::builtin(), quiet_config());
+  Server server(serve_catalog(), quiet_config());
   ServeClient client(server);
   Request req;
   req.scenario = "ivn-can";
@@ -86,7 +88,7 @@ TEST(ServerAdmission, DeadlineBelowStaticCostFloorIsInfeasible) {
 }
 
 TEST(ServerExecution, PoisonSeedIsQuarantinedAfterRetries) {
-  Server server(ScenarioRegistry::builtin(), quiet_config());
+  Server server(serve_catalog(), quiet_config());
   ServeClient client(server);
   const Reply r = client.call({"poison-crash", {5}});
   EXPECT_EQ(r.status, ReplyStatus::kQuarantined);
@@ -100,7 +102,7 @@ TEST(ServerExecution, PoisonSeedIsQuarantinedAfterRetries) {
 }
 
 TEST(ServerExecution, EventBudgetBoundsARunawayRun) {
-  Server server(ScenarioRegistry::builtin(), quiet_config());
+  Server server(serve_catalog(), quiet_config());
   ServeClient client(server);
   const Reply r = client.call({"busy-loop", {1}});
   EXPECT_EQ(r.status, ReplyStatus::kQuarantined);
@@ -109,7 +111,7 @@ TEST(ServerExecution, EventBudgetBoundsARunawayRun) {
 }
 
 TEST(ServerExecution, RequestMaxEventsOverridesScenarioDefault) {
-  Server server(ScenarioRegistry::builtin(), quiet_config());
+  Server server(serve_catalog(), quiet_config());
   ServeClient client(server);
   Request req;
   req.scenario = "busy-loop";
@@ -261,7 +263,7 @@ TEST(ServerDeterminism, RenderedRepliesAreByteIdenticalAcrossWorkerCounts) {
   for (const std::size_t workers : {1u, 2u, 8u}) {
     ServerConfig config = quiet_config();
     config.workers = workers;
-    Server server(ScenarioRegistry::builtin(), config);
+    Server server(serve_catalog(), config);
     ServeClient client(server);
     std::string out;
     for (const Reply& r : client.call_batch(stream)) {
@@ -277,7 +279,7 @@ TEST(ServerDeterminism, RenderedRepliesAreByteIdenticalAcrossWorkerCounts) {
 TEST(ServerBatching, SameScenarioRequestsCoalesceIntoOneQueueSlot) {
   // Capacity-1 queue, worker held busy: three same-scenario requests can
   // only all be admitted if they coalesce into a single queued job.
-  ScenarioRegistry reg = ScenarioRegistry::builtin();
+  ScenarioRegistry reg = serve_catalog();
   reg.add(sleeper_scenario("blocker", 200));
   ServerConfig config = quiet_config();
   config.workers = 1;
@@ -303,7 +305,7 @@ TEST(ServerBatching, SameScenarioRequestsCoalesceIntoOneQueueSlot) {
 }
 
 TEST(ServerOverload, FullQueueYieldsStructuredOverloadReply) {
-  ScenarioRegistry reg = ScenarioRegistry::builtin();
+  ScenarioRegistry reg = serve_catalog();
   reg.add(sleeper_scenario("blocker", 200));
   ServerConfig config = quiet_config();
   config.workers = 1;
@@ -326,7 +328,7 @@ TEST(ServerOverload, FullQueueYieldsStructuredOverloadReply) {
 }
 
 TEST(ServerDeadlines, DeadlineExpiredWhileQueuedIsAnsweredWithoutRunning) {
-  ScenarioRegistry reg = ScenarioRegistry::builtin();
+  ScenarioRegistry reg = serve_catalog();
   reg.add(sleeper_scenario("blocker", 400));
   ServerConfig config = quiet_config();
   config.workers = 1;
@@ -339,7 +341,7 @@ TEST(ServerDeadlines, DeadlineExpiredWhileQueuedIsAnsweredWithoutRunning) {
   Request req;
   req.scenario = "ivn-can";
   req.seeds = {1};
-  req.deadline_ms = 100;  // above the 2 ms floor, below the 400 ms block
+  req.deadline_ms = 100;  // above the 2.5 ms floor, below the 400 ms block
   const std::uint64_t t = server.submit(std::move(req));
   const Reply r = server.wait(t);
   EXPECT_EQ(r.status, ReplyStatus::kExpired);
@@ -351,7 +353,7 @@ TEST(ServerDeadlines, DeadlineExpiredWhileQueuedIsAnsweredWithoutRunning) {
 
 TEST(ServerTickets, RedeemOnceAndUnknownTicketsThrow)
 {
-  Server server(ScenarioRegistry::builtin(), quiet_config());
+  Server server(serve_catalog(), quiet_config());
   const std::uint64_t t = server.submit({"heartbeat-net", {1}});
   EXPECT_EQ(server.wait(t).status, ReplyStatus::kOk);
   EXPECT_THROW(server.wait(t), std::invalid_argument);     // double redeem
@@ -373,7 +375,7 @@ TEST(ServerTickets, TryWaitIsNonBlocking) {
 }
 
 TEST(ServerShutdown, DrainsQueuedWorkAndRefusesNewWork) {
-  ScenarioRegistry reg = ScenarioRegistry::builtin();
+  ScenarioRegistry reg = serve_catalog();
   reg.add(sleeper_scenario("blocker", 100));
   ServerConfig config = quiet_config();
   config.workers = 1;
@@ -390,7 +392,7 @@ TEST(ServerShutdown, DrainsQueuedWorkAndRefusesNewWork) {
 }
 
 TEST(ServerStatsAccounting, EveryTicketLandsInExactlyOneBucket) {
-  Server server(ScenarioRegistry::builtin(), quiet_config());
+  Server server(serve_catalog(), quiet_config());
   ServeClient client(server);
   std::vector<Request> batch;
   batch.push_back({"ivn-can", {1}});
@@ -415,7 +417,7 @@ TEST(ServerStatsAccounting, EveryTicketLandsInExactlyOneBucket) {
 }
 
 TEST(ServerTracing, RequestedTraceIsAttachedAndRendered) {
-  Server server(ScenarioRegistry::builtin(), quiet_config());
+  Server server(serve_catalog(), quiet_config());
   ServeClient client(server);
   Request req;
   req.scenario = "ivn-can";

@@ -7,11 +7,13 @@
 #include <string>
 #include <thread>
 
+#include "avsec/scenario/catalog.hpp"
 #include "avsec/serve/server.hpp"
 
 namespace {
 
 using namespace avsec::serve;
+using avsec::scenario::serve_catalog;
 namespace fault = avsec::fault;
 
 Scenario sleeper_scenario(const std::string& name, int sleep_ms) {
@@ -41,7 +43,7 @@ bool eventually(Pred pred) {
 }
 
 TEST(ServerSupervision, WedgedWorkerIsReplacedAndThePoolKeepsDraining) {
-  ScenarioRegistry reg = ScenarioRegistry::builtin();
+  ScenarioRegistry reg = serve_catalog();
   reg.add(sleeper_scenario("wedge", 400));
   ServerConfig config;
   config.workers = 1;
@@ -69,14 +71,14 @@ TEST(ServerSupervision, IdleWorkersAreNeverDeclaredWedged) {
   config.workers = 2;
   config.supervisor_poll_ms = 2;
   config.worker_stall_polls = 3;
-  Server server(ScenarioRegistry::builtin(), config);
+  Server server(serve_catalog(), config);
   // Plenty of polls with both workers idle: no false positives.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_EQ(server.stats().workers_replaced, 0u);
 }
 
 TEST(ServerLadder, SustainedSaturationShedsThenRecovers) {
-  ScenarioRegistry reg = ScenarioRegistry::builtin();
+  ScenarioRegistry reg = serve_catalog();
   reg.add(sleeper_scenario("slow", 100));
   ServerConfig config;
   config.workers = 1;
