@@ -1,20 +1,17 @@
 // bench_avsec_lint: throughput of the whole-program lint scan — the same
 // scan the avsec_lint_tree ctest and the CI lint job run.
 //
-// Three arms over the committed tree (src/tests/bench/examples/tools):
-//   serial_cold    --jobs 1, no cache: the pre-v2 baseline shape
-//   parallel_cold  --jobs N cold cache: pass 1 fans out per file on the
-//                  core ThreadPool; pass 2 stays single-threaded
-//   warm_cache     --jobs N over the cache the parallel arm just wrote:
-//                  every file deserializes instead of re-lexing
-// Every arm must render the byte-identical report — the bench doubles as
+// Two arms over the committed tree (src/tests/bench/examples/tools):
+//   serial_cold    --jobs 1: every file lexed on the calling thread
+//   parallel_cold  --jobs N: pass 1 fans out per file on the core
+//                  ThreadPool; pass 2 stays single-threaded
+// Both arms must render the byte-identical report — the bench doubles as
 // a determinism check and exits nonzero on any divergence. Speedups are
 // recorded against serial_cold; on a single-core host 1.0x is expected
 // (the JSON header records hardware_concurrency for exactly that reason).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,7 +21,6 @@
 
 namespace {
 
-namespace fs = std::filesystem;
 using avsec::lint::ScanOptions;
 using avsec::lint::ScanResult;
 
@@ -48,7 +44,6 @@ Arm run_arm(avsec::bench::Harness& h, const std::string& label,
   per_file.name = label + "_files";
   per_file.ns = arm.ns;
   per_file.iters = static_cast<double>(res.files_scanned);
-  per_file.extra["cache_hits"] = static_cast<double>(res.cache_hits);
   if (serial_ns > 0.0 && arm.ns > 0.0) {
     per_file.extra["speedup_vs_serial"] = serial_ns / arm.ns;
   }
@@ -73,32 +68,23 @@ int main(int argc, char** argv) {
 
   const std::size_t jobs =
       std::max<std::size_t>(2, std::thread::hardware_concurrency());
-  const fs::path cache =
-      fs::temp_directory_path() / "bench_avsec_lint_cache.tsv";
-  std::error_code ec;
-  fs::remove(cache, ec);
 
   ScanOptions serial = base;
   serial.jobs = 1;
   const Arm cold = run_arm(h, "serial_cold", serial, 0.0);
 
-  // Parallel cold writes the cache the warm arm then reads.
   ScanOptions parallel = base;
   parallel.jobs = jobs;
-  parallel.cache_path = cache.string();
   const Arm par = run_arm(h, "parallel_cold", parallel, cold.ns);
-  const Arm warm = run_arm(h, "warm_cache", parallel, cold.ns);
 
-  fs::remove(cache, ec);
-
-  if (par.report != cold.report || warm.report != cold.report) {
+  if (par.report != cold.report) {
     std::fprintf(stderr,
                  "bench_avsec_lint: report divergence across arms — the "
                  "determinism contract is broken\n");
     return 1;
   }
   std::printf("bench_avsec_lint: %zu files, jobs=%zu, reports identical "
-              "across serial/parallel/warm\n",
+              "across serial/parallel\n",
               cold.files, jobs);
   return 0;
 }

@@ -24,6 +24,11 @@ using namespace avsec;
 
 namespace {
 
+// Every generated spec is compiled and held in memory before the sweep
+// starts (about 10 KB each), so a count above this (about 80 passes over
+// the cell universe) is refused instead of aborting in an allocation.
+constexpr std::uint64_t kMaxGenerated = 10000;
+
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [options] [file.avsc ...]\n"
@@ -111,6 +116,11 @@ int main(int argc, char** argv) {
     }
   }
   if (files.empty() && gen_count == 0) return usage(argv[0]);
+  if (gen_count > kMaxGenerated) {
+    std::fprintf(stderr, "%s: --generate takes at most %llu scenarios\n",
+                 argv[0], static_cast<unsigned long long>(kMaxGenerated));
+    return usage(argv[0]);
+  }
 
   // --- assemble the scenario set: files first, then generated specs ---
   std::vector<scenario::CompiledScenario> scenarios;

@@ -1,5 +1,6 @@
 #include "avsec/scenario/generate.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -232,7 +233,7 @@ std::vector<ScenarioSpec> generate(const GeneratorConfig& config) {
   }
 
   std::vector<ScenarioSpec> specs;
-  specs.reserve(config.count);
+  specs.reserve(std::min(config.count, universe.size()));
   for (std::size_t i = 0; i < config.count; ++i) {
     const CoverageCell& cell = universe[order[i % universe.size()]];
     core::Rng sub = rng.split();

@@ -5,9 +5,8 @@
 // whole-tree avsec_lint_tree scan precisely because they violate on
 // purpose). The whole-program rules R5-R7 go through lint_sources — the
 // same pass-1 + pass-2 pipeline the scan driver runs — and the driver
-// itself is exercised for cache cold/warm report identity.
+// itself is exercised for serial/parallel report identity.
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -404,60 +403,43 @@ TEST(LintR7, WaiverAtTouchLintsClean) {
 }
 
 // ---------------------------------------------------------------------------
-// Scan driver: cold/warm cache identity and SARIF shape.
+// Scan driver: serial/parallel identity and SARIF shape.
 // ---------------------------------------------------------------------------
 
-TEST(LintDriver, WarmCacheReproducesColdReportByteForByte) {
+TEST(LintDriver, ParallelScanReproducesSerialReportByteForByte) {
+  // The whole fixture directory: per-line findings in many files plus
+  // pass-2 findings whose excerpts the driver resolves through the slot
+  // of each flagged file, so a result landing in another file's slot
+  // changes the report.
   avsec::lint::ScanOptions opts;
   opts.root = AVSEC_LINT_FIXTURE_DIR;
-  opts.inputs = {"r5_taint_chain.cpp", "r7_unguarded_touch.cpp"};
-  opts.cache_path =
-      ::testing::TempDir() + "/avsec_lint_cache_roundtrip.tsv";
-  std::remove(opts.cache_path.c_str());
+  opts.inputs = {"."};
+  opts.jobs = 1;
+  const avsec::lint::ScanResult serial = avsec::lint::scan_tree(opts);
+  ASSERT_FALSE(serial.io_error) << serial.io_error_path;
+  EXPECT_GT(serial.files_scanned, 1u);
+  ASSERT_FALSE(serial.findings.empty());
+  const auto cross_file_r5 =
+      std::find_if(serial.findings.begin(), serial.findings.end(),
+                   [](const Finding& f) {
+                     return f.rule == "R5" &&
+                            f.file == "src/avsec/sim/step.cpp";
+                   });
+  ASSERT_NE(cross_file_r5, serial.findings.end());
+  EXPECT_EQ(cross_file_r5->excerpt, "long step() { return raw_ns() + 1; }");
+  const std::string report = avsec::lint::render_report(serial);
+  const std::string sarif = avsec::lint::render_sarif(serial.findings);
 
-  const avsec::lint::ScanResult cold = avsec::lint::scan_tree(opts);
-  ASSERT_FALSE(cold.io_error) << cold.io_error_path;
-  EXPECT_EQ(cold.files_scanned, 2u);
-  EXPECT_EQ(cold.cache_hits, 0u);
-  EXPECT_FALSE(cold.findings.empty());
-
-  const avsec::lint::ScanResult warm = avsec::lint::scan_tree(opts);
-  ASSERT_FALSE(warm.io_error) << warm.io_error_path;
-  EXPECT_EQ(warm.cache_hits, 2u);
-  EXPECT_EQ(avsec::lint::render_report(warm),
-            avsec::lint::render_report(cold));
-
-  std::remove(opts.cache_path.c_str());
-}
-
-TEST(LintDriver, PreviousCacheFormatIsRefused) {
-  // A v2 cache carried per-member fields v3 no longer has; loading one
-  // under the old header must fall back to a cold scan, not misparse.
-  avsec::lint::ScanOptions opts;
-  opts.root = AVSEC_LINT_FIXTURE_DIR;
-  opts.inputs = {"r7_unguarded_touch.cpp"};
-  opts.cache_path = ::testing::TempDir() + "/avsec_lint_cache_v2.tsv";
-  std::remove(opts.cache_path.c_str());
-  const avsec::lint::ScanResult cold = avsec::lint::scan_tree(opts);
-  ASSERT_FALSE(cold.io_error) << cold.io_error_path;
-
-  std::string body;
-  {
-    std::ifstream in(opts.cache_path);
-    std::string header;
-    ASSERT_TRUE(std::getline(in, header));
-    EXPECT_EQ(header, "avsec-lint-cache v3");
-    std::ostringstream rest;
-    rest << in.rdbuf();
-    body = rest.str();
+  // Workers take files in whatever order they finish; repeat so an
+  // interleaving that reaches the report has several chances to show.
+  opts.jobs = 4;
+  for (int rep = 0; rep < 16; ++rep) {
+    const avsec::lint::ScanResult parallel = avsec::lint::scan_tree(opts);
+    ASSERT_FALSE(parallel.io_error) << parallel.io_error_path;
+    EXPECT_EQ(parallel.workers, 4u);
+    EXPECT_EQ(avsec::lint::render_report(parallel), report);
+    EXPECT_EQ(avsec::lint::render_sarif(parallel.findings), sarif);
   }
-  std::ofstream(opts.cache_path) << "avsec-lint-cache v2\n" << body;
-
-  const avsec::lint::ScanResult again = avsec::lint::scan_tree(opts);
-  EXPECT_EQ(again.cache_hits, 0u);
-  EXPECT_EQ(avsec::lint::render_report(again),
-            avsec::lint::render_report(cold));
-  std::remove(opts.cache_path.c_str());
 }
 
 TEST(LintDriver, SarifNamesEveryFiredRule) {
@@ -472,14 +454,6 @@ TEST(LintDriver, SarifNamesEveryFiredRule) {
   EXPECT_NE(doc.find("\"ruleId\": \"R5\""), std::string::npos);
   EXPECT_NE(doc.find("src/avsec/x/y.cpp"), std::string::npos);
   EXPECT_NE(doc.find("\"startLine\": 7"), std::string::npos);
-}
-
-TEST(LintDriver, ContentHashIsStableAndContentSensitive) {
-  const auto h1 = avsec::lint::content_hash("int x = 1;\n");
-  const auto h2 = avsec::lint::content_hash("int x = 1;\n");
-  const auto h3 = avsec::lint::content_hash("int x = 2;\n");
-  EXPECT_EQ(h1, h2);
-  EXPECT_NE(h1, h3);
 }
 
 }  // namespace

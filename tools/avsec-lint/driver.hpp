@@ -1,24 +1,16 @@
 // avsec-lint scan driver: filesystem walk, parallel per-file analysis,
-// content-hash incremental cache, and report/SARIF rendering.
+// and report/SARIF rendering.
 //
 // Determinism contract (the linter holds itself to the invariant it
 // enforces): the stdout report is a pure function of the scanned file
 // contents. The file list is sorted, per-file results land in
 // index-ordered slots regardless of worker interleaving, and pass 2 runs
-// over the label-sorted merged index — so `--jobs 1`, `--jobs N`, cold
-// cache, and warm cache all render byte-identical reports. The CI
-// cache-correctness gate diffs exactly this.
-//
-// The cache stores, per file, the FNV-1a 64 content hash plus the
-// serialized per-line findings and pass-1 FileIndex (both pure functions
-// of label + bytes, see index.hpp). A warm scan deserializes instead of
-// re-lexing; pass 2 is recomputed every run from the merged indexes, so
-// whole-program findings always reflect the full current tree even when
-// only one file changed.
+// over the label-sorted merged index — so `--jobs 1` and `--jobs N`
+// render byte-identical reports and SARIF. The CI serial-vs-`--jobs`
+// gate diffs exactly this.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -31,20 +23,18 @@ struct ScanOptions {
   std::string root;                 // scan root; labels are root-relative
   std::vector<std::string> inputs;  // files or directories under root
   std::size_t jobs = 1;             // worker threads; <= 1 scans serially
-  std::string cache_path;           // "" disables the incremental cache
-  std::string sarif_path;           // "" disables SARIF export
 };
 
 struct ScanResult {
   std::vector<Finding> findings;   // per-line + whole-program, sorted
   std::size_t files_scanned = 0;
-  std::size_t cache_hits = 0;
+  std::size_t workers = 1;         // threads that lexed: min(jobs, files)
   bool io_error = false;
   std::string io_error_path;       // first unreadable path
 };
 
-/// Runs the full scan. Writes the cache and SARIF files when configured;
-/// never writes to stdout/stderr (rendering is the caller's job).
+/// Runs the full scan. Reads the tree only: writes no file and nothing to
+/// stdout/stderr (rendering and output are the caller's job).
 ScanResult scan_tree(const ScanOptions& opts);
 
 /// The deterministic report: sorted findings in format() form followed by
@@ -53,8 +43,5 @@ std::string render_report(const ScanResult& res);
 
 /// SARIF 2.1.0 document for GitHub code-scanning upload.
 std::string render_sarif(const std::vector<Finding>& findings);
-
-/// FNV-1a 64-bit over the raw bytes (the cache key).
-std::uint64_t content_hash(std::string_view bytes);
 
 }  // namespace avsec::lint

@@ -17,11 +17,8 @@
 //     are attributed to declaration/call lines, so suppression ranges must
 //     travel with the index to wherever the finding is finally decided).
 //
-// A FileIndex is a pure function of (label, source bytes). That is what
-// makes the driver's content-hash cache sound: a warm scan deserializes
-// the FileIndex instead of re-lexing, and the merged whole-program pass
-// is byte-identical either way (the cold-vs-warm CI gate holds exactly
-// this).
+// A FileIndex is a pure function of (label, source bytes), so the merged
+// whole-program pass does not depend on which worker lexed which file.
 //
 // Precision contract: extraction is name-based, not type-based (no
 // libclang, same as the per-line rules). The whole-program pass only

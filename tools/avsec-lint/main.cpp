@@ -5,15 +5,18 @@
 //
 // Typical invocations:
 //   avsec-lint --root . src tests bench examples tools
-//   avsec-lint --root . --jobs 8 --cache build/lint.cache --sarif lint.sarif
+//   avsec-lint --root . --jobs 8 --sarif lint.sarif
 //   avsec-lint src/avsec/fault/campaign.cpp
 //   avsec-lint --list-rules
 //
-// The report on stdout is byte-identical across --jobs values and cache
-// states; timing goes to stderr so CI can diff stdout directly.
+// The report on stdout and the SARIF file are byte-identical across
+// --jobs values; timing goes to stderr so CI can diff stdout directly.
+// main() owns every output: scan_tree only reads the tree.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -22,14 +25,14 @@
 namespace {
 
 constexpr const char* kUsage =
-    "usage: avsec-lint [--root DIR] [--jobs N] [--cache FILE]\n"
-    "                  [--sarif FILE] [--list-rules] [path...]\n"
+    "usage: avsec-lint [--root DIR] [--jobs N] [--sarif FILE]\n"
+    "                  [--list-rules] [path...]\n"
     "  Scans C++ sources for determinism/hygiene violations (R1-R7).\n"
     "  Paths are files or directories (recursed); default: src tests\n"
     "  bench examples tools. Fixture trees (tests/tools/fixtures) and\n"
     "  build directories are skipped.\n"
-    "  --jobs N    scan files on N worker threads (report is identical)\n"
-    "  --cache F   reuse per-file results for unchanged content hashes\n"
+    "  --jobs N    scan files on up to N worker threads; 0 or 1 scans\n"
+    "              serially (report is identical)\n"
     "  --sarif F   also write findings as SARIF 2.1.0 to F\n";
 
 constexpr const char* kRules =
@@ -49,10 +52,27 @@ constexpr const char* kRules =
     "\n"
     "Suppress with: // AVSEC-LINT-ALLOW(<rule>): <reason>\n";
 
+// Strict: digits only, no sign, no overflow.
+bool parse_jobs(const char* text, std::size_t& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+// False when the file cannot be opened, is short-written or fails to close.
+bool write_file(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && written;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   avsec::lint::ScanOptions opts;
+  std::string sarif_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -75,16 +95,18 @@ int main(int argc, char** argv) {
       continue;
     }
     if (arg == "--jobs") {
-      opts.jobs = static_cast<std::size_t>(
-          std::strtoul(next("--jobs"), nullptr, 10));
-      continue;
-    }
-    if (arg == "--cache") {
-      opts.cache_path = next("--cache");
+      const char* value = next("--jobs");
+      if (!parse_jobs(value, opts.jobs)) {
+        std::fprintf(stderr,
+                     "avsec-lint: --jobs needs a non-negative integer, "
+                     "got '%s'\n%s",
+                     value, kUsage);
+        return 2;
+      }
       continue;
     }
     if (arg == "--sarif") {
-      opts.sarif_path = next("--sarif");
+      sarif_path = next("--sarif");
       continue;
     }
     if (!arg.empty() && arg[0] == '-') {
@@ -113,11 +135,14 @@ int main(int argc, char** argv) {
   std::fputs(avsec::lint::render_report(res).c_str(), stdout);
   const auto ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(t1 - t0).count();
-  std::fprintf(stderr,
-               "avsec-lint: %zu file%s, %zu cache hit%s, %lld ms "
-               "(jobs=%zu)\n",
+  std::fprintf(stderr, "avsec-lint: %zu file%s, %lld ms (workers=%zu)\n",
                res.files_scanned, res.files_scanned == 1 ? "" : "s",
-               res.cache_hits, res.cache_hits == 1 ? "" : "s",
-               static_cast<long long>(ms), opts.jobs == 0 ? 1 : opts.jobs);
+               static_cast<long long>(ms), res.workers);
+  if (!sarif_path.empty() &&
+      !write_file(sarif_path, avsec::lint::render_sarif(res.findings))) {
+    std::fprintf(stderr, "avsec-lint: cannot write '%s'\n",
+                 sarif_path.c_str());
+    return 2;
+  }
   return res.findings.empty() ? 0 : 1;
 }

@@ -50,7 +50,7 @@ std::vector<Finding> lint_project(const ProjectIndex& pi);
 
 /// Full pipeline over in-memory sources: per-line pass on each file, then
 /// the project pass over the merged indexes; one sorted findings list.
-/// This is exactly what the driver does for a cold filesystem scan, and
+/// This is exactly what the driver does for a filesystem scan, and
 /// what fixture tests use to exercise R5-R7 deterministically.
 std::vector<Finding> lint_sources(
     const std::vector<std::pair<std::string, std::string>>& label_and_source);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <tuple>
@@ -436,19 +435,6 @@ AnalyzedFile analyze_source(const std::string& label,
   out.findings = fl.run();
   out.index = fl.take_index();
   return out;
-}
-
-bool lint_file(const std::string& path, const std::string& label,
-               std::vector<Finding>& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string source = buf.str();
-  std::vector<Finding> found = lint_source(label, source);
-  out.insert(out.end(), std::make_move_iterator(found.begin()),
-             std::make_move_iterator(found.end()));
-  return true;
 }
 
 }  // namespace avsec::lint

@@ -72,17 +72,11 @@ std::vector<Finding> lint_source(const std::string& label,
                                  std::string_view source);
 
 /// Per-line findings plus the pass-1 index, from a single lex. This is the
-/// unit of work the parallel driver runs per file and the unit the
-/// content-hash cache stores.
+/// unit of work the parallel driver runs per file.
 struct AnalyzedFile {
   std::vector<Finding> findings;  // R0-R4, suppressions already applied
   FileIndex index;
 };
 AnalyzedFile analyze_source(const std::string& label, std::string_view source);
-
-/// Reads `path` and lints it under `label`. Returns false (and leaves
-/// `out` untouched) if the file cannot be read.
-bool lint_file(const std::string& path, const std::string& label,
-               std::vector<Finding>& out);
 
 }  // namespace avsec::lint
