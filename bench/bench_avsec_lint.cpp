@@ -3,8 +3,8 @@
 //
 // Two arms over the committed tree (src/tests/bench/examples/tools):
 //   serial_cold    --jobs 1: every file lexed on the calling thread
-//   parallel_cold  --jobs N: pass 1 fans out per file on the core
-//                  ThreadPool; pass 2 stays single-threaded
+//   parallel_cold  --jobs N: pass 1 fans out per file through
+//                  core::parallel_for; pass 2 stays single-threaded
 // Both arms must render the byte-identical report — the bench doubles as
 // a determinism check and exits nonzero on any divergence. Speedups are
 // recorded against serial_cold; on a single-core host 1.0x is expected

@@ -1,5 +1,5 @@
 // PARALLEL — campaign-engine throughput: the PR 2 health chaos scenario
-// swept serially and across core::ThreadPool workers. Claims checked and
+// swept serially and across core::parallel_for workers. Claims checked and
 // measured:
 //  a) determinism: the CampaignReport is byte-identical between serial
 //     and parallel sweeps at every worker count, AND between a scenario
@@ -15,7 +15,7 @@
 #include <cstdio>
 
 #include "avsec/core/table.hpp"
-#include "avsec/core/thread_pool.hpp"
+#include "avsec/core/parallel.hpp"
 #include "avsec/fault/campaign.hpp"
 #include "avsec/fault/context.hpp"
 #include "avsec/fault/fault.hpp"
@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
   std::printf("== PARALLEL: campaign sweep scaling (health chaos) ==\n");
 
   const std::size_t runs = h.iters(48, 8);
-  const std::size_t hw = core::ThreadPool::default_workers();
+  const std::size_t hw = core::default_workers();
 
   // --- scheduler micro-arm: event churn on one reused scheduler --------
   const std::size_t reps = h.iters(200, 20);
@@ -246,7 +246,7 @@ int main(int argc, char** argv) {
   }
   t.print("PARALLELa: " + std::to_string(runs) +
           "-run chaos campaign, fresh worlds vs pooled contexts vs "
-          "thread-pool sweep (host has " +
+          "parallel sweep (host has " +
           std::to_string(hw) + " hardware threads)");
 
   if (!all_identical) {

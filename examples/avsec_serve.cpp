@@ -32,7 +32,7 @@ void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--workers N] [--queue N] [--corpus DIR] "
                "[--stream] [--list]\n"
-               "  --workers N  worker threads (default 2)\n"
+               "  --workers N  worker threads, at most 256 (default 2)\n"
                "  --queue N    bounded job-queue capacity (default 32)\n"
                "  --corpus DIR also serve every .avsc scenario under DIR\n"
                "  --stream     answer each line before reading the next\n"
@@ -69,6 +69,13 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc || !avsec::fault::cli::parse_u64(argv[++i], value)) {
         std::fprintf(stderr, "%s: %s needs a non-negative integer\n",
                      argv[0], arg);
+        usage(argv[0]);
+        return 2;
+      }
+      if (count == &config.workers &&
+          value > avsec::fault::cli::kMaxWorkers) {
+        std::fprintf(stderr, "%s: --workers takes at most %zu\n", argv[0],
+                     avsec::fault::cli::kMaxWorkers);
         usage(argv[0]);
         return 2;
       }

@@ -1,6 +1,7 @@
 #include "avsec/core/bytes.hpp"
 
 #include <cassert>
+#include <cstdio>
 #include <stdexcept>
 
 namespace avsec::core {
@@ -81,6 +82,35 @@ bool ct_equal(BytesView a, BytesView b) {
   std::uint8_t diff = 0;
   for (std::size_t i = 0; i < a.size(); ++i) diff |= a[i] ^ b[i];
   return diff == 0;
+}
+
+void append_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+std::string format_double(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
 }
 
 }  // namespace avsec::core

@@ -1,4 +1,5 @@
-// Byte-buffer utilities shared by protocol codecs and crypto.
+// Byte-buffer utilities shared by protocol codecs and crypto, and the two
+// byte-stable text encoders shared by manifests, replies and telemetry.
 #pragma once
 
 #include <cstdint>
@@ -37,5 +38,15 @@ void xor_into(Bytes& a, BytesView b);
 
 /// true if ranges are equal in constant time (length leak only).
 bool ct_equal(BytesView a, BytesView b);
+
+/// Appends `s` as a quoted JSON string. Arbitrary bytes (e.g. a trace
+/// dump) survive the round trip: the usual two-char escapes for the common
+/// controls, \u00XX for the rest, everything else verbatim.
+void append_json_string(std::string& out, std::string_view s);
+
+/// `v` printed with %.17g, which round-trips every finite double exactly
+/// and is locale-independent for the characters it emits, so text built
+/// from it is byte-stable.
+std::string format_double(double v);
 
 }  // namespace avsec::core

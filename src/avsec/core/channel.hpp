@@ -1,24 +1,22 @@
 // Bounded MPMC channel: the producer–consumer spine of the serving layer.
 //
-// A Channel<T> is a fixed-capacity FIFO with blocking, non-blocking, and
-// deadline-bounded push/pop, built on the annotated core::Mutex/CondVar so
-// the clang thread-safety CI build checks every access. The capacity bound
-// is the robustness contract: a service built on a Channel can never buffer
+// A Channel<T> is a fixed-capacity FIFO with a blocking push and pop and a
+// non-blocking push, built on the annotated core::Mutex/CondVar so the
+// clang thread-safety CI build checks every access. The capacity bound is
+// the robustness contract: a service built on a Channel can never buffer
 // without limit — when the queue is full the producer learns immediately
-// (try_push) or within its deadline (push_for), and admission control turns
-// that into a structured "overloaded" reply instead of latent memory growth.
+// (try_push), and admission control turns that into a structured
+// "overloaded" reply instead of latent memory growth.
 //
 // close() wakes every blocked producer and consumer: pushes fail, pops
 // drain the remaining items and then fail, so worker loops written as
 // `while (ch.pop(item)) { ... }` shut down cleanly.
 //
-// All waits are wall-clock. Channels belong to the serving layer (thread
-// to thread), never inside a simulated world — simulation time stays in
-// core::Scheduler.
+// Channels belong to the serving layer (thread to thread), never inside a
+// simulated world.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <utility>
 
@@ -38,17 +36,10 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  std::size_t capacity() const { return capacity_; }
-
   /// Items currently queued (racy by nature; use for load sampling only).
   std::size_t size() const {
     MutexLock lock(mu_);
     return items_.size();
-  }
-
-  bool closed() const {
-    MutexLock lock(mu_);
-    return closed_;
   }
 
   /// Blocks until there is room, then enqueues. False iff closed.
@@ -72,54 +63,11 @@ class Channel {
     return true;
   }
 
-  /// Blocks up to `timeout_ns` wall-clock nanoseconds for room. False on
-  /// timeout or close.
-  bool push_for(T item, std::int64_t timeout_ns) {
-    MutexLock lock(mu_);
-    while (items_.size() >= capacity_ && !closed_) {
-      if (!not_full_.wait_for(mu_, timeout_ns)) {
-        if (items_.size() >= capacity_ || closed_) return false;
-        break;
-      }
-    }
-    if (closed_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(item));
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocks until an item is available and moves it into `out`. False iff
   /// the channel is closed and drained.
   bool pop(T& out) {
     MutexLock lock(mu_);
     while (items_.empty() && !closed_) not_empty_.wait(mu_);
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return true;
-  }
-
-  /// Dequeues iff an item is available right now.
-  bool try_pop(T& out) {
-    MutexLock lock(mu_);
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return true;
-  }
-
-  /// Blocks up to `timeout_ns` wall-clock nanoseconds for an item. False
-  /// on timeout, or when closed and drained.
-  bool pop_for(T& out, std::int64_t timeout_ns) {
-    MutexLock lock(mu_);
-    while (items_.empty() && !closed_) {
-      if (!not_empty_.wait_for(mu_, timeout_ns)) {
-        if (items_.empty()) return false;
-        break;
-      }
-    }
     if (items_.empty()) return false;
     out = std::move(items_.front());
     items_.pop_front();

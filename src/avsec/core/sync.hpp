@@ -8,16 +8,14 @@
 //
 // ThreadAffinity covers the other confinement model used in this repo:
 // classes like core::Scheduler are single-threaded *by design* — campaign
-// sweeps run one whole world per pool thread — so the invariant is not
+// sweeps run one whole world per worker thread — so the invariant is not
 // "hold a lock" but "never touch from a second thread". The checker binds
 // to the first thread that touches it and aborts (debug builds, or any
 // build with AVSEC_AFFINITY_CHECKS defined) if another thread shows up.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -83,19 +81,6 @@ class CondVar {
     inner.release();
   }
 
-  /// Timed wait: like wait(), but returns after at most `timeout_ns`
-  /// wall-clock nanoseconds. Returns false on timeout, true when notified
-  /// (spurious wakeups report true; loop on the condition either way).
-  /// Wall-clock by necessity — serving deadlines live in the host clock
-  /// domain, never in simulation time.
-  bool wait_for(Mutex& mu, std::int64_t timeout_ns) AVSEC_REQUIRES(mu) {
-    std::unique_lock<std::mutex> inner(mu.native_handle(), std::adopt_lock);
-    const std::cv_status st =
-        cv_.wait_for(inner, std::chrono::nanoseconds(timeout_ns));
-    inner.release();
-    return st == std::cv_status::no_timeout;
-  }
-
   void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }
 
@@ -117,7 +102,7 @@ class ThreadAffinity {
         expected != self) {
       std::fputs(
           "avsec: single-threaded object touched from a second thread "
-          "(scheduler/aggregation state must stay confined to one thread)\n",
+          "(scheduler state must stay confined to one thread)\n",
           stderr);
       std::abort();
     }

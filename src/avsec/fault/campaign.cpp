@@ -6,9 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "avsec/core/parallel.hpp"
 #include "avsec/core/rng.hpp"
-#include "avsec/core/sync.hpp"
-#include "avsec/core/thread_pool.hpp"
 #include "avsec/fault/manifest.hpp"
 #include "avsec/obs/export.hpp"
 #include "avsec/obs/trace.hpp"
@@ -23,11 +22,9 @@ using Invariants = std::vector<std::pair<std::string, Campaign::Check>>;
 // Aggregation folds through fixed-size blocks of consecutive runs, then a
 // pairwise merge tree over the blocks (core::Accumulator's Chan et al.
 // block-merge discipline). Block boundaries are a function of this
-// constant and the run count ONLY — never of workers or chunk size — so
-// the floating-point operation order, and therefore the report bytes, are
-// identical at any worker count. Blocks read disjoint outcome ranges, so
-// they fold in parallel; the tree itself is O(metrics · blocks) scalar
-// merges, done on the calling thread.
+// constant and the run count ONLY — never of workers — so the
+// floating-point operation order, and therefore the report bytes, are
+// identical at any worker count.
 constexpr std::size_t kFoldBlockRuns = 32;
 
 struct FoldBlock {
@@ -58,32 +55,21 @@ void merge_block(FoldBlock& into, const FoldBlock& from) {
   into.retried += from.retried;
 }
 
-// Folds every outcome into the report: parallel block folds (when a pool
-// is supplied), then a deterministic pairwise reduction. The reduction is
-// confined to the calling thread — the affinity check turns that into a
-// machine-checked invariant, as the old serial ReportFolder did.
+// Folds every outcome into the report on the calling thread: block folds
+// in run order, then a deterministic pairwise reduction.
 void fold_report(CampaignReport& report,
-                 const std::vector<RunOutcome>& outcomes,
-                 core::ThreadPool* pool) {
+                 const std::vector<RunOutcome>& outcomes) {
   if (outcomes.empty()) return;
-  core::ThreadAffinity affinity;
-  affinity.rebind();
   const std::size_t nblocks =
       (outcomes.size() + kFoldBlockRuns - 1) / kFoldBlockRuns;
   std::vector<FoldBlock> blocks(nblocks);
-  auto fold_one = [&](std::size_t b) {
+  for (std::size_t b = 0; b < nblocks; ++b) {
     const std::size_t lo = b * kFoldBlockRuns;
     const std::size_t hi = std::min(lo + kFoldBlockRuns, outcomes.size());
     fold_block(blocks[b], outcomes, lo, hi);
-  };
-  if (pool != nullptr && nblocks > 1) {
-    pool->for_each_index(nblocks, fold_one);
-  } else {
-    for (std::size_t b = 0; b < nblocks; ++b) fold_one(b);
   }
   // Pairwise reduction in a fixed shape: at stride s, block i absorbs
-  // block i+s. Same tree for serial and parallel sweeps by construction.
-  affinity.check();
+  // block i+s.
   for (std::size_t span = 1; span < nblocks; span *= 2) {
     for (std::size_t i = 0; i + span < nblocks; i += 2 * span) {
       merge_block(blocks[i], blocks[i + span]);
@@ -210,40 +196,23 @@ CampaignReport execute_sweep(const CampaignConfig& config,
     if (writer != nullptr) writer->append(i, o);
   };
 
-  std::size_t workers = config.workers == 0
-                            ? core::ThreadPool::default_workers()
-                            : config.workers;
+  std::size_t workers =
+      config.workers == 0 ? core::default_workers() : config.workers;
   workers = std::min(workers, std::max<std::size_t>(todo.size(), 1));
 
   // One warm SimContext per worker slot, built here on the sweeping
   // thread; the first reset() inside run_supervised hands confinement to
   // the worker.
   const auto contexts = std::make_unique<SimContext[]>(workers);
+  core::parallel_for(workers, todo.size(),
+                     [&](std::size_t slot, std::size_t k) {
+                       execute(todo[k], contexts[slot]);
+                     });
 
-  std::unique_ptr<core::ThreadPool> pool;
-  if (workers == 1) {
-    for (const std::size_t i : todo) execute(i, contexts[0]);
-  } else {
-    // Workers claim contiguous chunks of the work list (amortized
-    // dispatch, one writer per neighborhood of outcome slots). Chunk size
-    // shapes only scheduling, never results.
-    const std::size_t chunk = std::clamp<std::size_t>(
-        todo.size() / (workers * 4), std::size_t{1}, std::size_t{64});
-    pool = std::make_unique<core::ThreadPool>(workers);
-    pool->for_each_chunk(todo.size(), chunk,
-                         [&](std::size_t slot, std::size_t lo,
-                             std::size_t hi) {
-                           for (std::size_t k = lo; k < hi; ++k) {
-                             execute(todo[k], contexts[slot]);
-                           }
-                         });
-  }
-
-  // Aggregate through the merge tree (parallel block folds over disjoint
-  // outcome ranges, deterministic pairwise reduction — see fold_report),
-  // then move outcomes into the report: they carry metrics maps and trace
-  // dumps that would be expensive to copy.
-  fold_report(report, outcomes, pool.get());
+  // Aggregate through the merge tree (see fold_report), then move
+  // outcomes into the report: they carry metrics maps and trace dumps
+  // that would be expensive to copy.
+  fold_report(report, outcomes);
   report.outcomes.reserve(config.runs);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     RunOutcome& o = outcomes[i];

@@ -9,16 +9,17 @@
 // returns named metrics), and evaluates every invariant against those
 // metrics.
 //
-// Every run executes on its worker's pooled SimContext (arena-backed
-// scheduler, persistent trace recorder), reset before each attempt instead
-// of rebuilt. Sweeps fan out across a core::ThreadPool when `workers > 1`:
-// workers claim contiguous chunks of run indices, one context per worker.
-// The runs are independent worlds by construction (reset scheduler, fresh
-// RNG stream, seed derived per run index), so the parallel sweep produces
-// a report byte-identical to the serial one: outcomes are stored by run
-// index, and aggregation folds through a fixed merge tree over run-order
-// blocks whose boundaries depend only on the run count — never on workers
-// or chunking (see DESIGN.md §8). The scenario function must be safe to
+// Every run executes on its worker's warm SimContext (a scheduler whose
+// vectors keep their capacity, a persistent trace recorder), reset before
+// each attempt instead of rebuilt. Sweeps fan out through
+// core::parallel_for when `workers > 1`: each worker thread claims run
+// indices one at a time and runs them on its own context. The runs are
+// independent worlds by construction (reset scheduler, fresh RNG stream,
+// seed derived per run index), so the parallel sweep produces a report
+// byte-identical to the serial one: outcomes are stored by run index, and
+// aggregation folds through a fixed merge tree over run-order blocks whose
+// boundaries depend only on the run count — never on workers (see
+// DESIGN.md §8). The scenario function must be safe to
 // call concurrently; it must not touch shared mutable state outside its
 // own context.
 //

@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "avsec/core/table.hpp"
-#include "avsec/core/thread_pool.hpp"
+#include "avsec/core/parallel.hpp"
 #include "avsec/obs/export.hpp"
 #include "avsec/obs/trace.hpp"
 
@@ -81,8 +81,8 @@ bool parse_u64(const std::string& text, std::uint64_t& out) {
 }
 
 const char* flag_help() {
-  return "  --workers N      sweep workers (0 = one per hardware thread, "
-         "the default)\n"
+  return "  --workers N      sweep workers, at most 256 (0 = one per "
+         "hardware thread, the default)\n"
          "  --manifest FILE  journal the sweep to FILE\n"
          "  --resume FILE    resume the sweep journaled in FILE\n"
          "  --trace FILE     Perfetto trace of one replayed seed (the first "
@@ -117,9 +117,13 @@ std::string parse(int argc, const char* const* argv, Options& out) {
     if (!parse_u64(value, workers)) {
       return "--workers needs a non-negative integer, got '" + value + "'";
     }
+    if (workers > kMaxWorkers) {
+      return "--workers takes at most " + std::to_string(kMaxWorkers) +
+             ", got '" + value + "'";
+    }
     out.workers = static_cast<std::size_t>(workers);
   }
-  if (out.workers == 0) out.workers = core::ThreadPool::default_workers();
+  if (out.workers == 0) out.workers = core::default_workers();
   return "";
 }
 

@@ -18,6 +18,10 @@
 
 namespace avsec::fault::cli {
 
+/// The largest --workers any campaign or serve binary accepts: each worker
+/// is an OS thread, started eagerly.
+inline constexpr std::size_t kMaxWorkers = 256;
+
 struct Options {
   std::size_t workers = 0;  // resolved: 0 on the command line = hardware
   std::string manifest;     // "" = no journal

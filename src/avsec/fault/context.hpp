@@ -15,7 +15,7 @@
 // build a fresh world per run.
 //
 // Like the Scheduler it wraps, a SimContext is thread-confined, never
-// shared: one context per pool worker, reset() rebinds confinement to
+// shared: one context per worker thread, reset() rebinds confinement to
 // the calling thread (the build-on-main / run-on-worker handoff).
 #pragma once
 
@@ -41,7 +41,7 @@ class SimContext {
   /// Rewinds everything between seeds: scheduler back to its
   /// freshly-constructed state (capacity kept), then the recorder (counts
   /// and tracks rewound, intern cache kept). Also rebinds thread
-  /// confinement to the caller, so the first reset() on a pool worker
+  /// confinement to the caller, so the first reset() on a worker thread
   /// doubles as the ownership handoff.
   void reset();
 

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <utility>
 
+#include "avsec/core/bytes.hpp"
 #include "avsec/core/crc.hpp"
 
 namespace avsec::fault {
@@ -35,32 +36,6 @@ void append_hex_u64(std::string& out, std::uint64_t v) {
 void append_quoted_hex_u64(std::string& out, std::uint64_t v) {
   out += '"';
   append_hex_u64(out, v);
-  out += '"';
-}
-
-// JSON string escape. Arbitrary bytes (e.g. a trace dump) survive the
-// round trip: the usual two-char escapes for the common controls, \u00XX
-// for the rest, everything else verbatim.
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
   out += '"';
 }
 
@@ -282,7 +257,7 @@ std::string manifest_header_line(const ManifestHeader& h) {
   body += ",\"invariants\":[";
   for (std::size_t i = 0; i < h.invariants.size(); ++i) {
     if (i != 0) body += ',';
-    append_json_string(body, h.invariants[i]);
+    core::append_json_string(body, h.invariants[i]);
   }
   body += ']';
   return seal_line(std::move(body));
@@ -298,23 +273,23 @@ std::string manifest_run_line(std::size_t index, const RunOutcome& o) {
   body += "\",\"attempts\":";
   body += std::to_string(o.attempts);
   body += ",\"error\":";
-  append_json_string(body, o.error);
+  core::append_json_string(body, o.error);
   body += ",\"metrics\":{";
   bool first = true;
   for (const auto& [key, value] : o.metrics) {
     if (!first) body += ',';
     first = false;
-    append_json_string(body, key);
+    core::append_json_string(body, key);
     body += ':';
     append_quoted_hex_u64(body, std::bit_cast<std::uint64_t>(value));
   }
   body += "},\"violated\":[";
   for (std::size_t i = 0; i < o.violated.size(); ++i) {
     if (i != 0) body += ',';
-    append_json_string(body, o.violated[i]);
+    core::append_json_string(body, o.violated[i]);
   }
   body += "],\"trace\":";
-  append_json_string(body, o.trace);
+  core::append_json_string(body, o.trace);
   return seal_line(std::move(body));
 }
 

@@ -125,7 +125,7 @@ SupervisedRun run_supervised(const SupervisionConfig& sup, SimContext& ctx,
       RunGuard guard(sup);
       GuardScope scope(guard);  // the scenario's supervise(sim) finds it
       // Every attempt, retries included, starts from the reset-determinism
-      // baseline: scheduler and arena rewound, recorder emptied.
+      // baseline: scheduler rewound, recorder emptied.
       ctx.reset();
       if (trace) {
         obs::TraceScope ts(ctx.recorder());

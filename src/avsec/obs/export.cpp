@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cinttypes>
 
+#include "avsec/core/bytes.hpp"
+
 namespace avsec::obs {
 namespace {
 
@@ -30,12 +32,6 @@ std::string json_escape(std::string_view s) {
     out.push_back(c);
   }
   return out;
-}
-
-std::string format_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
 }
 
 // Retained events in (ts, seq) order. Events are recorded in seq order
@@ -94,7 +90,7 @@ std::string chrome_trace_json(const TraceRecorder& rec) {
       case Phase::kEnd:
         break;
       case Phase::kCounter:
-        out += ", \"args\": {\"value\": " + format_double(ev.value) + "}";
+        out += ", \"args\": {\"value\": " + core::format_double(ev.value) + "}";
         break;
     }
     out += "}";
@@ -132,7 +128,7 @@ std::string text_dump(const TraceRecorder& rec) {
     out += " name=";
     out += ev.name != nullptr ? ev.name : "?";
     if (ev.phase == Phase::kCounter) {
-      out += " value=" + format_double(ev.value);
+      out += " value=" + core::format_double(ev.value);
     } else if (ev.phase != Phase::kEnd) {
       out += " a0=" + std::to_string(ev.a0) +
              " a1=" + std::to_string(ev.a1);

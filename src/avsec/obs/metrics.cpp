@@ -1,19 +1,8 @@
 #include "avsec/obs/metrics.hpp"
 
-#include <cstdio>
+#include "avsec/core/bytes.hpp"
 
 namespace avsec::obs {
-namespace {
-
-// %.17g round-trips doubles exactly, which keeps text dumps byte-stable
-// across worker counts (the determinism contract extends to telemetry).
-std::string format_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 void MetricsRegistry::inc(std::string_view name, std::uint64_t n) {
   auto it = counters_.find(name);
@@ -92,14 +81,14 @@ std::string MetricsRegistry::text_dump() const {
     out += "counter " + name + " " + std::to_string(n) + "\n";
   }
   for (const auto& [name, v] : gauges_) {
-    out += "gauge " + name + " " + format_double(v) + "\n";
+    out += "gauge " + name + " " + core::format_double(v) + "\n";
   }
   for (const auto& [name, acc] : series_) {
     out += "series " + name + " count=" + std::to_string(acc.count()) +
-           " mean=" + format_double(acc.mean()) +
-           " min=" + format_double(acc.min()) +
-           " max=" + format_double(acc.max()) +
-           " sum=" + format_double(acc.sum()) + "\n";
+           " mean=" + core::format_double(acc.mean()) +
+           " min=" + core::format_double(acc.min()) +
+           " max=" + core::format_double(acc.max()) +
+           " sum=" + core::format_double(acc.sum()) + "\n";
   }
   return out;
 }

@@ -5,44 +5,15 @@
 #include <cstdint>
 #include <cstdio>
 
+#include "avsec/core/bytes.hpp"
+
 namespace avsec::serve {
 namespace {
-
-// %.17g round-trips every finite double exactly and is locale-independent
-// for the characters it emits, so rendered replies are byte-stable.
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
 
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
   out += buf;
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
 }
 
 }  // namespace
@@ -68,11 +39,11 @@ std::string render_reply(const Reply& r) {
   out += ",\"status\":\"";
   out += reply_status_name(r.status);
   out += "\",\"scenario\":";
-  append_json_string(out, r.scenario);
+  core::append_json_string(out, r.scenario);
   out += ",\"scale\":\"";
   out += scale_name(r.scale);
   out += "\",\"detail\":";
-  append_json_string(out, r.detail);
+  core::append_json_string(out, r.detail);
   out += ",\"seeds\":[";
   for (std::size_t i = 0; i < r.seeds.size(); ++i) {
     const SeedOutcome& s = r.seeds[i];
@@ -85,16 +56,16 @@ std::string render_reply(const Reply& r) {
     append_u64(out, s.attempts);
     if (!s.error.empty()) {
       out += ",\"error\":";
-      append_json_string(out, s.error);
+      core::append_json_string(out, s.error);
     }
     out += ",\"metrics\":{";
     bool first = true;
     for (const auto& [name, value] : s.metrics) {
       if (!first) out += ',';
       first = false;
-      append_json_string(out, name);
+      core::append_json_string(out, name);
       out += ':';
-      append_double(out, value);
+      out += core::format_double(value);
     }
     out += "}}";
   }
@@ -103,21 +74,21 @@ std::string render_reply(const Reply& r) {
   for (const auto& [name, acc] : r.aggregate) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, name);
+    core::append_json_string(out, name);
     out += ":{\"n\":";
     append_u64(out, acc.count());
     out += ",\"mean\":";
-    append_double(out, acc.mean());
+    out += core::format_double(acc.mean());
     out += ",\"min\":";
-    append_double(out, acc.min());
+    out += core::format_double(acc.min());
     out += ",\"max\":";
-    append_double(out, acc.max());
+    out += core::format_double(acc.max());
     out += '}';
   }
   out += '}';
   if (!r.trace.empty()) {
     out += ",\"trace\":";
-    append_json_string(out, r.trace);
+    core::append_json_string(out, r.trace);
   }
   out += '}';
   return out;

@@ -274,9 +274,9 @@ void Server::run_seed(WorkerSlot& slot, const Job& job,
   fault::SupervisionConfig sup = config_.supervision;
   sup.max_events = job.max_events;
   sup.wall_deadline_ms = remaining_ms > 0 ? remaining_ms : 0;
-  // Every attempt runs on the slot's warm context, reset first: the
-  // arena-backed scheduler, and for traced seeds the slot recorder instead
-  // of a ~1 MiB ring per seed.
+  // Every attempt runs on the slot's warm context, reset first: its
+  // scheduler keeps its vectors' capacity, and traced seeds use the slot
+  // recorder instead of a ~1 MiB ring per seed.
   fault::SupervisedRun r = fault::run_supervised(
       sup, slot.ctx, trace_dump != nullptr, [&](fault::SimContext& ctx) {
         return job.scenario->run_ctx(ctx, out.seed, job.scale);

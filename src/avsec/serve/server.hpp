@@ -171,8 +171,9 @@ class Server {
     /// after its current job instead of popping more work.
     std::atomic<bool> abandoned{false};
     /// Warm per-worker simulation context: every seed runs on its
-    /// arena-backed scheduler, and trace capture reuses its recorder
-    /// (ring + intern table) instead of allocating one per traced seed.
+    /// scheduler (capacity kept across resets), and trace capture reuses
+    /// its recorder (ring + intern table) instead of allocating one per
+    /// traced seed.
     /// Reset before every attempt; confined to this slot's thread. A
     /// replacement worker gets a fresh slot and a fresh context, so an
     /// abandoned (possibly wedged) run never shares it.

@@ -1,6 +1,6 @@
 // Pooled per-worker SimContexts: a sweep on the pooled contexts (warm
-// arena-backed scheduler, persistent trace recorder, reset before every
-// attempt) must produce a CampaignReport byte-identical to the fresh-world
+// scheduler whose vectors keep their capacity, persistent trace recorder,
+// reset before every attempt) must produce a CampaignReport byte-identical to the fresh-world
 // reference — a scenario that ignores its context and builds a new heap
 // Scheduler per run — at any worker count, under supervision, with trace
 // capture on, and across resume.

@@ -1,11 +1,12 @@
-// Parallel campaign engine: sweeps fanned across a ThreadPool must be
-// byte-identical to serial sweeps — same seeds, same outcome order, same
+// Parallel campaign engine: sweeps fanned out by core::parallel_for must
+// be byte-identical to serial sweeps — same seeds, same outcome order, same
 // violation counts, bitwise-equal aggregate accumulators.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "avsec/core/rng.hpp"
 #include "avsec/core/scheduler.hpp"
@@ -53,22 +54,28 @@ Campaign make_campaign(std::size_t runs, std::size_t workers) {
   return c;
 }
 
+// 32 runs fold as one block; 97 span four blocks with a one-run tail, so
+// the pairwise merge tree runs too.
 TEST(CampaignParallel, WorkerCountDoesNotChangeReport) {
-  const auto serial = make_campaign(32, 1).sweep(mini_scenario);
-  for (std::size_t workers : {2u, 8u}) {
-    const auto parallel = make_campaign(32, workers).sweep(mini_scenario);
-    EXPECT_TRUE(identical(serial, parallel)) << workers << " workers";
-    // Spot-check the fields identical() covers, for clearer failures.
-    EXPECT_EQ(parallel.failed_runs, serial.failed_runs);
-    EXPECT_EQ(parallel.violations, serial.violations);
-    EXPECT_EQ(parallel.failing_seeds(), serial.failing_seeds());
-    ASSERT_EQ(parallel.outcomes.size(), serial.outcomes.size());
-    for (std::size_t i = 0; i < serial.outcomes.size(); ++i) {
-      EXPECT_EQ(parallel.outcomes[i].seed, serial.outcomes[i].seed);
-      EXPECT_EQ(parallel.outcomes[i].metrics, serial.outcomes[i].metrics);
-    }
-    for (const auto& [name, acc] : serial.aggregate) {
-      EXPECT_TRUE(parallel.aggregate.at(name).identical(acc)) << name;
+  for (std::size_t runs : {32u, 97u}) {
+    const auto serial = make_campaign(runs, 1).sweep(mini_scenario);
+    for (std::size_t workers : {2u, 8u}) {
+      SCOPED_TRACE(std::to_string(runs) + " runs, " +
+                   std::to_string(workers) + " workers");
+      const auto parallel = make_campaign(runs, workers).sweep(mini_scenario);
+      EXPECT_TRUE(identical(serial, parallel));
+      // Spot-check the fields identical() covers, for clearer failures.
+      EXPECT_EQ(parallel.failed_runs, serial.failed_runs);
+      EXPECT_EQ(parallel.violations, serial.violations);
+      EXPECT_EQ(parallel.failing_seeds(), serial.failing_seeds());
+      ASSERT_EQ(parallel.outcomes.size(), serial.outcomes.size());
+      for (std::size_t i = 0; i < serial.outcomes.size(); ++i) {
+        EXPECT_EQ(parallel.outcomes[i].seed, serial.outcomes[i].seed);
+        EXPECT_EQ(parallel.outcomes[i].metrics, serial.outcomes[i].metrics);
+      }
+      for (const auto& [name, acc] : serial.aggregate) {
+        EXPECT_TRUE(parallel.aggregate.at(name).identical(acc)) << name;
+      }
     }
   }
 }

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "avsec/core/scheduler.hpp"
-#include "avsec/core/thread_pool.hpp"
+#include "avsec/core/parallel.hpp"
 #include "avsec/fault/cli.hpp"
 #include "avsec/obs/trace.hpp"
 
@@ -144,7 +144,7 @@ TEST(CampaignCli, ParseCampaignTable) {
     EXPECT_EQ(error.empty(), c.ok) << error;
     if (!c.ok || !error.empty()) continue;
     EXPECT_EQ(opts.workers, c.workers == 0
-                                ? core::ThreadPool::default_workers()
+                                ? core::default_workers()
                                 : c.workers);
     EXPECT_EQ(config.runs, c.runs);
     EXPECT_EQ(config.base_seed, c.base_seed);
@@ -163,6 +163,23 @@ TEST(CampaignCli, ParseHandsBackTheRest) {
   EXPECT_TRUE(opts.trace_failing);
   EXPECT_EQ(opts.rest, (std::vector<std::string>{"--generate", "8", "a.avsc",
                                                  "--list"}));
+}
+
+// Every worker is a thread started up front, so argv bounds the count:
+// an unbounded --workers once asked for one thread per requested worker.
+TEST(CampaignCli, WorkersAboveTheBoundAreRefused) {
+  const std::string at = std::to_string(kMaxWorkers);
+  const std::string above = std::to_string(kMaxWorkers + 1);
+  const std::vector<std::string> ok = {"--workers", at};
+  const std::vector<std::string> refused = {"--workers", above};
+  Options opts;
+  const std::vector<const char*> ok_argv = argv_of(ok);
+  EXPECT_EQ(parse(static_cast<int>(ok_argv.size()), ok_argv.data(), opts), "");
+  EXPECT_EQ(opts.workers, kMaxWorkers);
+  const std::vector<const char*> refused_argv = argv_of(refused);
+  EXPECT_NE(parse(static_cast<int>(refused_argv.size()), refused_argv.data(),
+                  opts),
+            "");
 }
 
 // A refused argv exits 2 with usage text on stderr, before any sweep: at

@@ -7,7 +7,7 @@
 #include <map>
 #include <sstream>
 
-#include "avsec/core/thread_pool.hpp"
+#include "avsec/core/parallel.hpp"
 
 namespace fs = std::filesystem;
 
@@ -196,7 +196,7 @@ ScanResult scan_tree(const ScanOptions& opts) {
 
   // Per-file work is independent; results land in index-ordered slots, so
   // worker interleaving cannot reach the report.
-  auto work = [&](std::size_t i) {
+  auto work = [&](std::size_t, std::size_t i) {
     Slot& s = slots[i];
     std::string bytes;
     if (!read_file(s.path, bytes)) {
@@ -208,12 +208,7 @@ ScanResult scan_tree(const ScanOptions& opts) {
   };
   // No more workers than files, so no thread starts idle.
   res.workers = std::max<std::size_t>(1, std::min(opts.jobs, slots.size()));
-  if (res.workers > 1) {
-    core::ThreadPool pool(res.workers);
-    pool.for_each_index(slots.size(), work);
-  } else {
-    for (std::size_t i = 0; i < slots.size(); ++i) work(i);
-  }
+  core::parallel_for(res.workers, slots.size(), work);
 
   ProjectIndex pi;
   for (const Slot& s : slots) {
