@@ -11,133 +11,25 @@
 //  c) throughput: sweep wall-clock scales with workers (speedup vs the
 //     same-mode serial arm; ~1 on a single-core host — the JSON header
 //     records hardware_concurrency so the number is interpretable).
-#include <cmath>
 #include <cstdio>
 
 #include "avsec/core/table.hpp"
 #include "avsec/core/parallel.hpp"
 #include "avsec/fault/campaign.hpp"
 #include "avsec/fault/context.hpp"
-#include "avsec/fault/fault.hpp"
-#include "avsec/health/replica.hpp"
-#include "avsec/health/supervisor.hpp"
-#include "avsec/ids/correlation.hpp"
+#include "avsec/fault/replica_world.hpp"
 #include "harness.hpp"
 
 namespace {
 
 using namespace avsec;
 
-constexpr core::SimTime kRunEnd = core::seconds(2);
-
-// One replicated-sensor chaos world per seed: three replicas behind a 2oo3
-// voter, heartbeat watchdog, safety supervisor, and a seeded schedule of
-// lying / mute replicas (the PR 2 health chaos campaign scenario). Builds
-// on the scheduler it is handed, so both arms below share one body.
+// One replicated-sensor chaos world per seed (fault::ReplicaWorld, the
+// health chaos campaign's scenario), built on the scheduler it is handed,
+// so both arms below share one body.
 fault::Metrics run_chaos(core::Scheduler& sim, std::uint64_t seed) {
-  core::Rng rng(seed);
-
-  health::VoterConfig vcfg;
-  vcfg.policy = health::VotePolicy::kToleranceBand;
-  vcfg.tolerance = 0.5;
-  vcfg.quorum = 2;
-  vcfg.max_age = core::milliseconds(25);
-  health::RedundancyVoter voter(vcfg, 3);
-  ids::AlertCorrelator correlator;
-  voter.bind_correlator(&correlator, 0x400);
-
-  health::HeartbeatConfig hcfg;
-  hcfg.check_period = core::milliseconds(10);
-  hcfg.deadline = core::milliseconds(25);
-  hcfg.miss_budget = 2;
-  health::HeartbeatMonitor monitor(sim, hcfg);
-
-  ids::DegradationManager dm;
-  dm.register_service({"speed-feed", 0x400, ids::Criticality::kSafety,
-                       {"replica-0", "replica-1", "replica-2"}});
-
-  health::SupervisorConfig scfg;
-  scfg.tick_period = core::milliseconds(10);
-  scfg.clear_after = core::milliseconds(50);
-  scfg.recovery_deadline = core::milliseconds(400);
-  scfg.repeats_to_escalate = 3;
-  scfg.escalate_window = core::milliseconds(250);
-  health::SafetySupervisor supervisor(sim, scfg, &dm);
-  supervisor.set_restart_handler([](const std::string&) { return true; });
-  monitor.on_down([&](const std::string& s, core::SimTime t) {
-    supervisor.on_source_down(s, t);
-  });
-  monitor.on_recovered([&](const std::string& s, core::SimTime t) {
-    supervisor.on_source_recovered(s, t);
-  });
-
-  std::vector<health::ReplicaPort> ports;
-  std::vector<fault::ReplicaFault> targets;
-  ports.reserve(3);
-  targets.reserve(3);
-  for (int r = 0; r < 3; ++r) {
-    ports.emplace_back("replica-" + std::to_string(r), r);
-    monitor.register_source(ports.back().name());
-    ports.back().connect_voter(&voter);
-    ports.back().connect_monitor(&monitor);
-  }
-  for (int r = 0; r < 3; ++r) targets.emplace_back(ports[std::size_t(r)]);
-
-  monitor.start();
-  supervisor.start();
-
-  const double truth = 25.0;
-  std::function<void()> publish = [&] {
-    for (auto& p : ports) p.publish(truth + rng.normal(0.0, 0.05), sim.now());
-    if (sim.now() < kRunEnd) sim.schedule_in(core::milliseconds(10), publish);
-  };
-  sim.schedule_at(0, publish);
-
-  double max_fused_err = 0.0;
-  std::uint64_t quorum_losses = 0;
-  std::function<void()> vote_tick = [&] {
-    const health::VoteOutcome out = voter.vote(sim.now());
-    supervisor.on_vote(out, sim.now());
-    if (out.quorum_met) {
-      max_fused_err = std::max(max_fused_err, std::abs(out.value - truth));
-    } else {
-      ++quorum_losses;
-    }
-    if (sim.now() < kRunEnd) sim.schedule_in(core::milliseconds(10), vote_tick);
-  };
-  sim.schedule_at(core::milliseconds(35), vote_tick);
-
-  fault::FaultInjector injector(sim);
-  for (int r = 0; r < 3; ++r) {
-    injector.add_target("replica-" + std::to_string(r), &targets[std::size_t(r)]);
-  }
-  fault::FaultPlan plan;
-  for (int w = 0; w < 4; ++w) {
-    fault::FaultEvent ev;
-    ev.at = core::milliseconds(100 + 350 * w);
-    ev.target = "replica-" + std::to_string(rng.uniform_int(0, 2));
-    ev.kind = rng.chance(0.5) ? fault::FaultKind::kByzantineValue
-                              : fault::FaultKind::kReplicaMute;
-    ev.duration = core::milliseconds(rng.uniform_int(50, 250));
-    ev.magnitude = rng.uniform(5.0, 50.0);
-    plan.add(std::move(ev));
-  }
-  injector.arm(plan);
-
-  sim.schedule_at(kRunEnd + core::milliseconds(1), [&] {
-    monitor.stop();
-    supervisor.stop();
-  });
-  sim.run();
-
-  fault::Metrics m;
-  m["max_fused_err"] = max_fused_err;
-  m["quorum_losses"] = static_cast<double>(quorum_losses);
-  m["nominal_at_end"] =
-      supervisor.state() == health::SafetyState::kNominal ? 1.0 : 0.0;
-  m["recoveries"] = static_cast<double>(supervisor.recoveries());
-  m["faults_applied"] = static_cast<double>(injector.applied());
-  return m;
+  fault::ReplicaWorld w(sim, seed);
+  return w.run(w.chaos_plan());
 }
 
 // The pooled arm: every run on the worker context's reused scheduler, as
@@ -154,7 +46,11 @@ fault::Metrics fresh_world(fault::SimContext& /*ctx*/, std::uint64_t seed) {
 }
 
 fault::Campaign make_campaign(std::size_t runs, std::size_t workers) {
-  fault::Campaign campaign({runs, /*base_seed=*/2026, workers});
+  fault::CampaignConfig config;
+  config.runs = runs;
+  config.base_seed = 2026;
+  config.workers = workers;
+  fault::Campaign campaign(config);
   campaign
       .require("voter masks single-replica faults",
                [](const fault::Metrics& m) {

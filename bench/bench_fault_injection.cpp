@@ -182,9 +182,10 @@ void cascade_vs_recovery() {
 void campaign_sweep() {
   // Crash/restart campaign on a two-provider service: the backup must
   // cover every primary outage.
-  fault::Campaign campaign(
-      {/*runs=*/g_smoke ? std::size_t{10} : std::size_t{50},
-       /*base_seed=*/99});
+  fault::CampaignConfig config;
+  config.runs = g_smoke ? 10 : 50;
+  config.base_seed = 99;
+  fault::Campaign campaign(config);
   campaign.require("feed alive at end", [](const fault::Metrics& m) {
     return m.at("alive") == 1.0;
   });

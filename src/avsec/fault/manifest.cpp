@@ -5,6 +5,8 @@
 
 #include <bit>
 #include <cerrno>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -74,15 +76,12 @@ struct Cursor {
 
   bool peek(char c) const { return pos < s.size() && s[pos] == c; }
 
+  // Consumes a decimal u64; a value that overflows fails the parse.
   bool u64_dec(std::uint64_t& out) {
-    const std::size_t start = pos;
-    std::uint64_t v = 0;
-    while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
-      v = v * 10 + static_cast<std::uint64_t>(s[pos] - '0');
-      ++pos;
-    }
-    if (pos == start) return false;
-    out = v;
+    const char* first = s.data() + pos;
+    const auto [end, ec] = std::from_chars(first, s.data() + s.size(), out);
+    if (ec != std::errc{}) return false;
+    pos += static_cast<std::size_t>(end - first);
     return true;
   }
 
@@ -187,6 +186,7 @@ bool parse_header_body(std::string_view body, ManifestHeader& h) {
       !c.u64_dec(trace) || !c.lit(",\"invariants\":[")) {
     return false;
   }
+  if (trace > static_cast<std::uint64_t>(TraceCapture::kAllRuns)) return false;
   h.runs = static_cast<std::size_t>(runs);
   h.trace = static_cast<int>(trace);
   h.invariants.clear();
@@ -216,6 +216,7 @@ bool parse_run_body(std::string_view body, std::size_t& index,
       !c.json_string(o.error) || !c.lit(",\"metrics\":{")) {
     return false;
   }
+  if (attempts == 0 || attempts > UINT32_MAX) return false;
   index = static_cast<std::size_t>(i);
   o.attempts = static_cast<std::uint32_t>(attempts);
   o.metrics.clear();

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
-#include "avsec/core/scheduler.hpp"
-#include "avsec/health/heartbeat.hpp"
 #include "avsec/obs/export.hpp"
 #include "avsec/obs/trace.hpp"
 
@@ -408,58 +405,34 @@ void Server::worker_loop(WorkerSlot* slot) {
 }
 
 void Server::supervisor_loop() {
-  // The supervisor reuses health::Watchdog unchanged by mapping its
-  // sim-time domain onto poll ticks: each poll advances this private
-  // scheduler by one millisecond of "time", so a watchdog armed with
-  // worker_stall_polls milliseconds expires after exactly that many polls
-  // without a kick. Kicks happen only when the worker's heartbeat moved
-  // (or it is idle); a busy worker with a frozen heartbeat is wedged.
-  core::Scheduler sim;
-  const core::SimTime tick = core::milliseconds(1);
-  struct Dog {
-    std::unique_ptr<health::Watchdog> dog;
-    std::uint64_t last_heartbeat = 0;
-  };
-  std::map<WorkerSlot*, Dog> dogs;
   while (!stopping_.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(config_.supervisor_poll_ms));
     ladder_.observe(static_cast<double>(queue_.size()) /
                     static_cast<double>(config_.queue_capacity));
+    std::size_t wedged = 0;
     {
       core::MutexLock lock(slots_mu_);
       for (WorkerSlot& slot : slots_) {
         if (slot.abandoned.load(std::memory_order_relaxed)) continue;
-        Dog& d = dogs[&slot];
-        if (!d.dog) {
-          WorkerSlot* sp = &slot;
-          d.dog = std::make_unique<health::Watchdog>(
-              sim, tick * config_.worker_stall_polls,
-              [this, sp](core::SimTime) {
-                // Wedged: abandon the slot and spawn a replacement so the
-                // pool keeps draining. The stuck thread is joined at
-                // shutdown (its RunGuard budgets bound how long it runs).
-                sp->abandoned.store(true, std::memory_order_relaxed);
-                counters_.workers_replaced.fetch_add(
-                    1, std::memory_order_relaxed);
-                spawn_worker();
-              });
-          d.dog->arm();
-          d.last_heartbeat = slot.heartbeat.load(std::memory_order_relaxed);
-          continue;
-        }
         const std::uint64_t hb =
             slot.heartbeat.load(std::memory_order_relaxed);
         if (!slot.busy.load(std::memory_order_relaxed) ||
-            hb != d.last_heartbeat) {
-          d.dog->kick();
+            hb != slot.seen_heartbeat) {
+          slot.stalled_polls = 0;
+        } else if (++slot.stalled_polls >= config_.worker_stall_polls) {
+          // Wedged: abandon the slot and spawn a replacement so the pool
+          // keeps draining. The stuck thread is joined at shutdown (its
+          // RunGuard budgets bound how long it runs).
+          slot.abandoned.store(true, std::memory_order_relaxed);
+          counters_.workers_replaced.fetch_add(1, std::memory_order_relaxed);
+          ++wedged;
         }
-        d.last_heartbeat = hb;
+        slot.seen_heartbeat = hb;
       }
     }
-    // Expiry callbacks fire here, outside slots_mu_, so the replacement
-    // spawn can take the lock without deadlocking.
-    sim.run_until(sim.now() + tick);
+    // Outside slots_mu_: spawn_worker() takes it.
+    for (; wedged > 0; --wedged) spawn_worker();
   }
 }
 

@@ -15,8 +15,8 @@
 //        +── immediate structured rejects              +── per-run
 //            (unknown / infeasible / overloaded)           RunGuard +
 //                                                          retry/quarantine
-//   supervisor thread: load ladder polls + health::Watchdog per worker
-//   (wedged-worker replacement), driven by a poll-tick scheduler.
+//   supervisor thread: load ladder polls + a stalled-poll count per
+//   worker (wedged-worker replacement).
 //
 // Robustness properties, each tested:
 //  - Admission control: the queue is a bounded Channel; when it is full or
@@ -32,10 +32,11 @@
 //    the campaign's retry loop, on core::RetryPolicy backoff; a seed that
 //    fails every attempt yields a kQuarantined reply enumerating the
 //    per-seed statuses (as a campaign quarantines, never a drop).
-//  - Worker supervision: workers heartbeat per job and per seed; a
-//    health::Watchdog per worker slot (sim time = supervisor poll ticks)
-//    declares a silent-but-busy worker wedged, abandons the slot, and
-//    spawns a replacement so the pool keeps draining.
+//  - Worker supervision: workers heartbeat per job and per seed; the
+//    supervisor counts, per worker slot, the polls in a row that find it
+//    busy with an unchanged heartbeat, declares it wedged when the count
+//    reaches worker_stall_polls, abandons the slot, and spawns a
+//    replacement so the pool keeps draining.
 //  - Graceful degradation: sustained overload moves the LoadLadder
 //    NOMINAL -> DEGRADED (admissions run smoke-scale) -> SHED (structured
 //    refusal) and back, with hysteresis.
@@ -73,9 +74,9 @@ struct ServerConfig {
   std::size_t queue_capacity = 32;
   /// Load-shedding ladder thresholds (occupancy of the job queue).
   LadderConfig ladder;
-  /// Supervisor cadence: ladder sampling and watchdog ticks.
+  /// Supervisor cadence: ladder sampling and wedged-worker polls.
   std::int64_t supervisor_poll_ms = 10;
-  /// Watchdog deadline per worker, in supervisor polls: a busy worker
+  /// Wedge deadline per worker, in supervisor polls: a busy worker
   /// whose heartbeat stalls this many polls is declared wedged and
   /// replaced.
   int worker_stall_polls = 100;
@@ -163,13 +164,19 @@ class Server {
   struct WorkerSlot {
     std::thread thread;
     std::uint32_t id = 0;  // stable slot index, for reply telemetry
-    /// Bumped by the worker per job and per seed; the supervisor kicks the
-    /// slot's watchdog only when it advanced (or the worker is idle).
+    /// Bumped by the worker per job and per seed; the supervisor resets
+    /// the slot's stall count only when it advanced (or the worker is
+    /// idle).
     std::atomic<std::uint64_t> heartbeat{0};
     std::atomic<bool> busy{false};
-    /// Set by the supervisor when the watchdog expires: the worker exits
-    /// after its current job instead of popping more work.
+    /// Set by the supervisor when the stall count reaches
+    /// worker_stall_polls: the worker exits after its current job instead
+    /// of popping more work.
     std::atomic<bool> abandoned{false};
+    /// Supervisor thread only: the heartbeat its last poll saw, and how
+    /// many polls in a row found the worker busy with it unchanged.
+    std::uint64_t seen_heartbeat = 0;
+    int stalled_polls = 0;
     /// Warm per-worker simulation context: every seed runs on its
     /// scheduler (capacity kept across resets), and trace capture reuses
     /// its recorder (ring + intern table) instead of allocating one per

@@ -45,7 +45,11 @@ Metrics mini_scenario(SimContext& ctx, std::uint64_t seed) {
 }
 
 Campaign make_campaign(std::size_t runs, std::size_t workers) {
-  Campaign c({runs, /*base_seed=*/77, workers});
+  CampaignConfig config;
+  config.runs = runs;
+  config.base_seed = 77;
+  config.workers = workers;
+  Campaign c(config);
   c.require("few spikes",
             [](const Metrics& m) { return m.at("spikes") <= 2.0; })
       .require("even seed", [](const Metrics& m) {
@@ -87,7 +91,11 @@ TEST(CampaignParallel, WorkersZeroMeansHardwareConcurrency) {
 }
 
 TEST(CampaignParallel, SeedsMatchSeedForRunUnderAnyWorkerCount) {
-  const Campaign c({6, /*base_seed=*/123, /*workers=*/4});
+  CampaignConfig config;
+  config.runs = 6;
+  config.base_seed = 123;
+  config.workers = 4;
+  const Campaign c(config);
   const auto report = c.sweep(mini_scenario);
   ASSERT_EQ(report.outcomes.size(), 6u);
   for (std::size_t i = 0; i < 6; ++i) {
@@ -122,7 +130,11 @@ TEST(CampaignParallel, RunExceptionBecomesQuarantinedOutcome) {
 TEST(CampaignParallel, ScenariosActuallyRunConcurrentSafe) {
   // Each run touches only its own world; a shared atomic counts them.
   std::atomic<int> calls{0};
-  Campaign c({20, /*base_seed=*/9, /*workers=*/8});
+  CampaignConfig config;
+  config.runs = 20;
+  config.base_seed = 9;
+  config.workers = 8;
+  Campaign c(config);
   const auto report = c.sweep([&](SimContext& ctx, std::uint64_t seed) {
     calls.fetch_add(1);
     return mini_scenario(ctx, seed);

@@ -184,7 +184,10 @@ TEST(BabblingIdiot, DrivesItselfBusOffAndBusLoadSpikes) {
 }
 
 TEST(Campaign, InvariantsEvaluatedPerSeededRun) {
-  Campaign campaign({/*runs=*/5, /*base_seed=*/9});
+  CampaignConfig config;
+  config.runs = 5;
+  config.base_seed = 9;
+  Campaign campaign(config);
   campaign.require("delivered>=1",
                    [](const Metrics& m) { return m.at("delivered") >= 1.0; });
   campaign.require("never-ten",

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 
+#include "avsec/core/crc.hpp"
 #include "avsec/fault/campaign.hpp"
 #include "avsec/fault/manifest.hpp"
 
@@ -37,6 +38,21 @@ Metrics tiny_scenario(SimContext& /*ctx*/, std::uint64_t seed) {
   Metrics m;
   m["seed_mod"] = static_cast<double>(seed % 7);
   return m;
+}
+
+// Replaces `from` with `to` in a sealed manifest line and seals it again
+// with a fresh CRC, so only the parser can refuse the result.
+std::string reseal(std::string line, const std::string& from,
+                   const std::string& to) {
+  const std::size_t at = line.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  line.replace(at, from.size(), to);
+  std::string body = line.substr(0, line.size() - 21);  // ,"crc":"0x..."}\n
+  const auto* data = reinterpret_cast<const std::uint8_t*>(body.data());
+  char suffix[32];
+  std::snprintf(suffix, sizeof(suffix), ",\"crc\":\"0x%08x\"}\n",
+                core::crc32_ieee(core::BytesView(data, body.size())));
+  return body + suffix;
 }
 
 ManifestHeader header(std::size_t runs, std::uint64_t base_seed) {
@@ -169,6 +185,41 @@ TEST(ManifestEdge, ValidatedOpenAppendRefusesVoidManifests) {
   ManifestWriter w3;
   EXPECT_FALSE(w3.open_append(garbage, h));
   EXPECT_FALSE(w3.valid());
+}
+
+TEST(ManifestEdge, OutOfRangeNumbersAreDroppedNotWrapped) {
+  RunOutcome o;
+  o.seed = 5;
+  o.attempts = 1;
+  const std::string run = manifest_run_line(1, o);
+  const std::string head = manifest_header_line(header(4, 3));
+
+  // Each crafted line carries a valid CRC; each would once have loaded:
+  // the index wrapped to run 0, the attempts narrowed to 0.
+  const std::string path = temp_path("out_of_range.jsonl");
+  write_file(path,
+             head + run +
+                 reseal(run, "\"i\":1,", "\"i\":18446744073709551616,") +
+                 reseal(run, "\"attempts\":1,", "\"attempts\":4294967296,") +
+                 reseal(run, "\"attempts\":1,", "\"attempts\":0,"));
+  const ManifestData data = read_manifest(path);
+  ASSERT_TRUE(data.header_ok);
+  EXPECT_EQ(data.run_lines, 1u);
+  EXPECT_EQ(data.dropped_lines, 3u);
+  ASSERT_EQ(data.outcomes.size(), 1u);
+  EXPECT_EQ(data.outcomes.at(1).attempts, 1u);
+
+  // A header outside the trace-capture range, or with a run count that
+  // overflows, voids the whole manifest.
+  for (const std::string& bad :
+       {reseal(head, "\"trace\":0,", "\"trace\":3,"),
+        reseal(head, "\"runs\":4,", "\"runs\":18446744073709551620,")}) {
+    write_file(path, bad + run);
+    const ManifestData void_data = read_manifest(path);
+    EXPECT_FALSE(void_data.header_ok) << bad;
+    EXPECT_EQ(void_data.dropped_lines, 1u) << bad;
+    EXPECT_TRUE(void_data.outcomes.empty()) << bad;
+  }
 }
 
 }  // namespace
