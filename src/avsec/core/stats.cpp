@@ -67,13 +67,11 @@ double Samples::stddev() const {
 }
 
 double Samples::min() const {
-  ensure_sorted();
-  return xs_.empty() ? 0.0 : xs_.front();
+  return xs_.empty() ? 0.0 : *std::min_element(xs_.begin(), xs_.end());
 }
 
 double Samples::max() const {
-  ensure_sorted();
-  return xs_.empty() ? 0.0 : xs_.back();
+  return xs_.empty() ? 0.0 : *std::max_element(xs_.begin(), xs_.end());
 }
 
 double Samples::quantile(double q) const {

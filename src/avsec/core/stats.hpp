@@ -42,7 +42,9 @@ class Accumulator {
 };
 
 /// Keeps all samples; offers exact quantiles. Use for bench reporting where
-/// sample counts are modest.
+/// sample counts are modest. min() and max() scan and leave the samples in
+/// insertion order; quantile() and median() sort them in place, after which
+/// values() and mean()'s summation follow sorted order.
 class Samples {
  public:
   void add(double x) {

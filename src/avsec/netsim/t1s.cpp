@@ -1,5 +1,6 @@
 #include "avsec/netsim/t1s.hpp"
 
+#include <cassert>
 #include <stdexcept>
 
 namespace avsec::netsim {
@@ -98,38 +99,43 @@ void T1sBus::arm_first_queued() {
 }
 
 void T1sBus::transmit(std::size_t node) {
+  assert(in_flight_src_ < 0 && "T1sBus: a TO started before the delivery");
   armed_ = false;
   Node& holder = nodes_[node];
-  Pending p = std::move(holder.queue.front());
+  const core::SimTime enqueued_at = holder.queue.front().enqueued_at;
+  in_flight_ = std::move(holder.queue.front().frame);
+  in_flight_src_ = static_cast<int>(node);
   holder.queue.erase(holder.queue.begin());
 
   const core::SimTime duration =
-      core::transmission_time(p.frame.wire_bits(), config_.bitrate);
+      core::transmission_time(in_flight_.wire_bits(), config_.bitrate);
   busy_time_ += duration;
-  access_latency_.add(core::to_microseconds(sim_.now() - p.enqueued_at));
+  access_latency_.add(core::to_microseconds(sim_.now() - enqueued_at));
   ++frames_delivered_;
   AVSEC_TRACE_BEGIN(obs::Category::kEthernet, "t1s-frame", obs_track_,
                     sim_.now(), static_cast<std::int64_t>(node),
                     static_cast<std::int64_t>(holder.queue.size()),
                     holder.name);
   AVSEC_METRIC_OBSERVE("t1s.access_latency_us",
-                       core::to_microseconds(sim_.now() - p.enqueued_at));
-
-  const int src = static_cast<int>(node);
-  sim_.schedule_in(duration, [this, src, frame = std::move(p.frame)] {
-    AVSEC_TRACE_END(obs::Category::kEthernet, "t1s-frame", obs_track_,
-                    sim_.now());
-    AVSEC_METRIC_INC("t1s.frames_delivered", 1);
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (static_cast<int>(i) == src) continue;
-      if (nodes_[i].on_rx) nodes_[i].on_rx(src, frame, sim_.now());
-    }
-  });
+                       core::to_microseconds(sim_.now() - enqueued_at));
+  sim_.schedule_in(duration, [this] { deliver(); });
 
   // The next TO starts when the frame ends, after the beacon on a wrap.
   holder_ = (node + 1) % nodes_.size();
   to_start_ = sim_.now() + duration + (holder_ == 0 ? beacon_time_ : 0);
   arm_first_queued();
+}
+
+void T1sBus::deliver() {
+  AVSEC_TRACE_END(obs::Category::kEthernet, "t1s-frame", obs_track_,
+                  sim_.now());
+  AVSEC_METRIC_INC("t1s.frames_delivered", 1);
+  const int src = in_flight_src_;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (static_cast<int>(i) == src) continue;
+    if (nodes_[i].on_rx) nodes_[i].on_rx(src, in_flight_, sim_.now());
+  }
+  in_flight_src_ = -1;
 }
 
 double T1sBus::bus_load() const {

@@ -15,6 +15,11 @@
 // delivered frame costs two dispatches (its TO and its delivery), and an
 // idle bus costs none.
 //
+// At most one frame is on the wire, so the bus holds it in place of the
+// end-of-frame event: that event captures only the bus, and a frame moved
+// into send() reaches the receivers without a copy or an allocation once
+// the queues have grown.
+//
 // Timing rule: a frame queued at the exact instant its node's TO starts
 // goes in that TO, whatever the scheduling order of the two events. A
 // frame queued later waits for the node's next TO, a round on.
@@ -89,8 +94,11 @@ class T1sBus {
   void arm(std::size_t node, core::SimTime at);
   /// Arms the first node at or after the current holder with a frame.
   void arm_first_queued();
-  /// Wake body: `node`, whose TO starts now, sends its head-of-line frame.
+  /// Wake body: `node`, whose TO starts now, puts its head-of-line frame
+  /// on the wire.
   void transmit(std::size_t node);
+  /// End-of-frame body: hands the frame on the wire to every other node.
+  void deliver();
 
   core::Scheduler& sim_;
   T1sConfig config_;
@@ -104,6 +112,12 @@ class T1sBus {
   bool armed_ = false;          // wake_ is pending, at wake_at_
   core::SimTime wake_at_ = 0;
   core::EventHandle wake_;
+  // One frame on the wire: PLCA is half-duplex and the next TO starts at
+  // or after the current frame's end. The delivery event is scheduled
+  // before any wake for that TO, so at an equal instant it dispatches
+  // first (lower id) and the slot is free again when the next TO sends.
+  EthFrame in_flight_;
+  int in_flight_src_ = -1;  // its source node; -1 between frames
   core::SimTime busy_time_ = 0;
   std::uint64_t frames_delivered_ = 0;
   core::Samples access_latency_;

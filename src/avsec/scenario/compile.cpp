@@ -328,11 +328,12 @@ fault::Metrics run_can_world(const ScenarioSpec& spec, core::Scheduler& sim,
       bus.send(eps[static_cast<std::size_t>(i)], f);
       ++frames_sent;
       if (sim.now() + spec.period < end) {
-        sim.schedule_in(spec.period, ticks[static_cast<std::size_t>(i)]);
+        sim.schedule_in(spec.period,
+                        [t = &ticks[static_cast<std::size_t>(i)]] { (*t)(); });
       }
     };
     sim.schedule_at(core::microseconds(137) * i,
-                    ticks[static_cast<std::size_t>(i)]);
+                    [t = &ticks[static_cast<std::size_t>(i)]] { (*t)(); });
   }
 
   // Scheduled protocol-layer attacks and targeted error injection.
@@ -423,8 +424,12 @@ fault::Metrics run_t1s_world(const ScenarioSpec& spec, core::Scheduler& sim,
   const int n = spec.nodes;
   netsim::T1sBus bus(sim, {});
   std::vector<int> eps;
+  std::vector<std::string> names;
+  std::vector<netsim::MacAddress> macs;
   for (int i = 0; i < n; ++i) {
-    eps.push_back(bus.attach("node" + std::to_string(i), nullptr));
+    names.push_back("node" + std::to_string(i));
+    macs.push_back(netsim::mac_from_index(static_cast<std::uint16_t>(i)));
+    eps.push_back(bus.attach(names.back(), nullptr));
   }
   const int attacker = bus.attach("attacker", nullptr);
 
@@ -451,18 +456,14 @@ fault::Metrics run_t1s_world(const ScenarioSpec& spec, core::Scheduler& sim,
 
   health::HeartbeatMonitor monitor(sim, monitor_config(spec.period));
   if (spec.defense.monitor) {
-    for (int i = 0; i < n; ++i) {
-      monitor.register_source("node" + std::to_string(i));
-    }
+    for (const std::string& name : names) monitor.register_source(name);
   }
 
   // Source index from the frame's src MAC (attacker-replayed frames keep
   // the victim's MAC — provenance comes from the PLCA node id).
   const auto mac_index = [&](const netsim::MacAddress& mac) -> int {
     for (int i = 0; i < n; ++i) {
-      if (mac == netsim::mac_from_index(static_cast<std::uint16_t>(i))) {
-        return i;
-      }
+      if (mac == macs[static_cast<std::size_t>(i)]) return i;
     }
     return -1;
   };
@@ -491,7 +492,7 @@ fault::Metrics run_t1s_world(const ScenarioSpec& spec, core::Scheduler& sim,
           last_feed = now;
         }
         if (spec.defense.monitor) {
-          monitor.heartbeat("node" + std::to_string(idx));
+          monitor.heartbeat(names[static_cast<std::size_t>(idx)]);
         }
       });
   (void)receiver;
@@ -511,22 +512,23 @@ fault::Metrics run_t1s_world(const ScenarioSpec& spec, core::Scheduler& sim,
       const auto& mute = mutes[static_cast<std::size_t>(i)];
       if (sim.now() < mute.first || sim.now() >= mute.second) {
         netsim::EthFrame f;
-        f.src = netsim::mac_from_index(static_cast<std::uint16_t>(i));
+        f.src = macs[static_cast<std::size_t>(i)];
         f.dst = netsim::mac_from_index(200);
         f.payload = core::Bytes(spec.payload,
                                 static_cast<std::uint8_t>(0x20 + i));
         if (spec.protocol == Protocol::kMacsec) {
           f = mac_tx[static_cast<std::size_t>(i)]->protect(f);
         }
-        bus.send(eps[static_cast<std::size_t>(i)], f);
+        bus.send(eps[static_cast<std::size_t>(i)], std::move(f));
         ++frames_sent;
       }
       if (sim.now() + spec.period < end) {
-        sim.schedule_in(spec.period, ticks[static_cast<std::size_t>(i)]);
+        sim.schedule_in(spec.period,
+                        [t = &ticks[static_cast<std::size_t>(i)]] { (*t)(); });
       }
     };
     sim.schedule_at(core::microseconds(137) * i,
-                    ticks[static_cast<std::size_t>(i)]);
+                    [t = &ticks[static_cast<std::size_t>(i)]] { (*t)(); });
   }
 
   for (const AttackEntry& a : spec.attacks) {
@@ -576,8 +578,6 @@ fault::Metrics run_t1s_world(const ScenarioSpec& spec, core::Scheduler& sim,
   m["attack_rejected"] = static_cast<double>(attack_rejected);
   m["monitor_downs"] = static_cast<double>(mt.downs);
   m["monitor_recoveries"] = static_cast<double>(mt.recoveries);
-  // mean() before max(): max() sorts the samples in place, and the mean
-  // must sum them in delivery order to stay bit-exact across builds.
   m["access_mean_us"] = bus.access_latency().mean();
   m["access_max_us"] = bus.access_latency().max();
   return m;
@@ -617,15 +617,19 @@ fault::Metrics run_link_world(const ScenarioSpec& spec, core::Scheduler& sim,
 
     rekey_tick = [&] {
       if (session->established()) session->rekey();
-      if (sim.now() + end / 4 < end) sim.schedule_in(end / 4, rekey_tick);
+      if (sim.now() + end / 4 < end) {
+        sim.schedule_in(end / 4, [&rekey_tick] { rekey_tick(); });
+      }
     };
-    sim.schedule_at(end / 4, rekey_tick);
+    sim.schedule_at(end / 4, [&rekey_tick] { rekey_tick(); });
 
     tick = [&] {  // monitor liveness poll
       if (spec.defense.monitor && session->established()) {
         monitor.heartbeat("uplink");
       }
-      if (sim.now() + spec.period < end) sim.schedule_in(spec.period, tick);
+      if (sim.now() + spec.period < end) {
+        sim.schedule_in(spec.period, [&tick] { tick(); });
+      }
     };
   } else {
     // Plaintext datagrams: 8-byte sequence + pattern body; a corrupted
@@ -650,10 +654,12 @@ fault::Metrics run_link_world(const ScenarioSpec& spec, core::Scheduler& sim,
       }
       ++seq;
       link.send(netsim::FlakyChannel::End::kA, std::move(d));
-      if (sim.now() + spec.period < end) sim.schedule_in(spec.period, tick);
+      if (sim.now() + spec.period < end) {
+        sim.schedule_in(spec.period, [&tick] { tick(); });
+      }
     };
   }
-  sim.schedule_at(0, tick);
+  sim.schedule_at(0, [&tick] { tick(); });
 
   fault::ChannelFault link_fault(link);
   fault::FaultInjector injector(sim);
@@ -744,11 +750,12 @@ fault::Metrics run_heartbeat_world(const ScenarioSpec& spec,
         ++beats_sent;
       }
       if (sim.now() + spec.period < end) {
-        sim.schedule_in(spec.period, beats[static_cast<std::size_t>(i)]);
+        sim.schedule_in(spec.period,
+                        [b = &beats[static_cast<std::size_t>(i)]] { (*b)(); });
       }
     };
     sim.schedule_at(core::microseconds(137) * i,
-                    beats[static_cast<std::size_t>(i)]);
+                    [b = &beats[static_cast<std::size_t>(i)]] { (*b)(); });
   }
 
   monitor.start();

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "avsec/core/rng.hpp"
 #include "avsec/core/stats.hpp"
@@ -164,6 +166,19 @@ TEST(Samples, AddAfterQuantileStillCorrect) {
   s.add(0.5);
   EXPECT_DOUBLE_EQ(s.min(), 0.5);
   EXPECT_DOUBLE_EQ(s.max(), 5.0);
+}
+
+TEST(Samples, MinMaxLeaveValuesInInsertionOrder) {
+  Samples s;
+  // Sums that depend on order: 1e16 swallows a lone 1.0 but not two.
+  const std::vector<double> xs = {1e16, 1.0, -1e16, 1.0, 3.5, -2.25};
+  for (double x : xs) s.add(x);
+  const double mean_before = s.mean();
+  EXPECT_DOUBLE_EQ(s.max(), 1e16);
+  EXPECT_DOUBLE_EQ(s.min(), -1e16);
+  EXPECT_EQ(s.values(), xs);
+  const double mean_after = s.mean();
+  EXPECT_EQ(std::memcmp(&mean_before, &mean_after, sizeof(double)), 0);
 }
 
 TEST(Histogram, ClampsOutOfRange) {

@@ -1,7 +1,9 @@
 // Differential oracle for netsim::T1sBus: seeded random send schedules
 // run on the parked bus and on the stepped reference (reference_t1s.hpp)
 // must leave identical per-receiver delivery logs (source, frame tag,
-// time), access-latency samples, frame counts and bus load.
+// payload size, time), access-latency samples, frame counts and bus load.
+// The size catches a delivered frame whose buffer was reused or moved
+// from before every receiver saw it.
 //
 // Schedules draw 1-6 nodes, the TO and beacon lengths, frame sizes from
 // the minimum to the maximum payload, and sends at random times, in
@@ -33,6 +35,7 @@ constexpr SimTime kGrid = core::nanoseconds(100);  // one bit at 10 Mbit/s
 struct Delivery {
   int src;
   std::uint32_t tag;
+  std::size_t size;
   SimTime at;
   bool operator==(const Delivery&) const = default;
 };
@@ -88,9 +91,10 @@ Log drive(std::uint64_t seed) {
     bus.attach("n" + std::to_string(i),
                [&, i](int src, const EthFrame& f, SimTime now) {
                  log.rx[static_cast<std::size_t>(i)].push_back(
-                     {src, static_cast<std::uint32_t>(
-                               core::read_be(f.payload, 0, 4)),
-                      now});
+                     {src,
+                      static_cast<std::uint32_t>(
+                          core::read_be(f.payload, 0, 4)),
+                      f.payload.size(), now});
                  const std::uint64_t r = rng.next() % 8;
                  if (r == 0) burst(i);  // from the rx callback, on the grid
                  if (r == 1 || r == 2) {
