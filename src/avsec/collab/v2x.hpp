@@ -129,7 +129,6 @@ class PseudonymTracker {
   double longest_track_fraction() const;
 
   std::size_t distinct_pseudonyms() const { return by_pseudonym_.size(); }
-  std::size_t observations() const { return total_; }
 
  private:
   std::map<std::uint64_t, std::size_t> by_pseudonym_;

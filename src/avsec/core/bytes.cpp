@@ -72,11 +72,6 @@ std::uint64_t read_be(BytesView data, std::size_t offset, std::size_t width) {
   return v;
 }
 
-void xor_into(Bytes& a, BytesView b) {
-  assert(a.size() == b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] ^= b[i];
-}
-
 bool ct_equal(BytesView a, BytesView b) {
   if (a.size() != b.size()) return false;
   std::uint8_t diff = 0;

@@ -33,9 +33,6 @@ void append_be(Bytes& dst, std::uint64_t value, std::size_t width);
 /// std::out_of_range if the range does not fit.
 std::uint64_t read_be(BytesView data, std::size_t offset, std::size_t width);
 
-/// XORs `b` into `a` elementwise; sizes must match.
-void xor_into(Bytes& a, BytesView b);
-
 /// true if ranges are equal in constant time (length leak only).
 bool ct_equal(BytesView a, BytesView b);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace avsec::core {
 
@@ -83,34 +82,6 @@ double Samples::quantile(double q) const {
   const double frac = pos - static_cast<double>(lo);
   if (lo + 1 >= xs_.size()) return xs_.back();
   return xs_[lo] * (1.0 - frac) + xs_[lo + 1] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bins_(bins, 0) {}
-
-void Histogram::add(double x) {
-  const double span = hi_ - lo_;
-  auto idx = static_cast<long>((x - lo_) / span * static_cast<double>(bins_.size()));
-  idx = std::clamp<long>(idx, 0, static_cast<long>(bins_.size()) - 1);
-  ++bins_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(bins_.size());
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::size_t peak = 1;
-  for (auto c : bins_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    const auto bar = bins_[i] * width / peak;
-    os << "[" << bin_low(i) << ", " << bin_high(i) << ") "
-       << std::string(bar, '#') << " " << bins_[i] << "\n";
-  }
-  return os.str();
 }
 
 void Counter::add(const std::string& key, std::uint64_t n) {

@@ -67,28 +67,6 @@ class Samples {
   void ensure_sorted() const;
 };
 
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins so totals always match the sample count.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t total() const { return total_; }
-  std::size_t bin_count(std::size_t i) const { return bins_.at(i); }
-  std::size_t bins() const { return bins_.size(); }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const { return bin_low(i + 1); }
-
-  /// Renders a compact ASCII bar chart (for bench output).
-  std::string ascii(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> bins_;
-  std::size_t total_ = 0;
-};
-
 /// Counter map for categorical outcomes (attack succeeded / detected / ...).
 class Counter {
  public:

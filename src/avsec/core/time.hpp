@@ -18,16 +18,10 @@ inline constexpr SimTime kMicrosecond = 1'000'000;
 inline constexpr SimTime kMillisecond = 1'000'000'000;
 inline constexpr SimTime kSecond = 1'000'000'000'000;
 
-constexpr SimTime picoseconds(std::int64_t v) { return v; }
 constexpr SimTime nanoseconds(std::int64_t v) { return v * kNanosecond; }
 constexpr SimTime microseconds(std::int64_t v) { return v * kMicrosecond; }
 constexpr SimTime milliseconds(std::int64_t v) { return v * kMillisecond; }
 constexpr SimTime seconds(std::int64_t v) { return v * kSecond; }
-
-/// Converts a SimTime to seconds as a double (for reporting only).
-constexpr double to_seconds(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kSecond);
-}
 
 /// Converts a SimTime to microseconds as a double (for reporting only).
 constexpr double to_microseconds(SimTime t) {

@@ -74,25 +74,6 @@ void store_be32(std::uint8_t* p, std::uint32_t w) {
   p[3] = static_cast<std::uint8_t>(w);
 }
 
-// Inverse S-box, computed once at startup from kSbox.
-struct InvSbox {
-  std::uint8_t t[256];
-  InvSbox() {
-    for (int i = 0; i < 256; ++i) t[kSbox[i]] = static_cast<std::uint8_t>(i);
-  }
-};
-const InvSbox kInvSbox;
-
-std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
-  std::uint8_t p = 0;
-  for (int i = 0; i < 8; ++i) {
-    if (b & 1) p ^= a;
-    a = xtime(a);
-    b >>= 1;
-  }
-  return p;
-}
-
 }  // namespace
 
 Aes::Aes(BytesView key) {
@@ -136,12 +117,6 @@ Aes::Block Aes::encrypt(const Block& in) const {
   return out;
 }
 
-Aes::Block Aes::decrypt(const Block& in) const {
-  Block out{};
-  decrypt_block(in.data(), out.data());
-  return out;
-}
-
 void Aes::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
   // State as four big-endian column words; row r of column c is byte r.
   const std::uint32_t* rk = rk_.data();
@@ -179,44 +154,6 @@ void Aes::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
   store_be32(out + 4, last(s1, s2, s3, s0) ^ rk[1]);
   store_be32(out + 8, last(s2, s3, s0, s1) ^ rk[2]);
   store_be32(out + 12, last(s3, s0, s1, s2) ^ rk[3]);
-}
-
-void Aes::decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
-  std::uint8_t rk[15 * 16];
-  for (std::size_t i = 0; i < rk_.size(); ++i) store_be32(&rk[4 * i], rk_[i]);
-  std::uint8_t s[16];
-  for (int i = 0; i < 16; ++i) s[i] = in[i] ^ rk[16 * rounds_ + i];
-  for (int round = rounds_ - 1; round >= 0; --round) {
-    // InvShiftRows.
-    std::uint8_t t[16];
-    for (int c = 0; c < 4; ++c) {
-      for (int r = 0; r < 4; ++r) {
-        t[4 * ((c + r) % 4) + r] = s[4 * c + r];
-      }
-    }
-    // InvSubBytes.
-    for (auto& b : t) b = kInvSbox.t[b];
-    // AddRoundKey.
-    for (int i = 0; i < 16; ++i) t[i] ^= rk[16 * round + i];
-    if (round > 0) {
-      // InvMixColumns.
-      for (int c = 0; c < 4; ++c) {
-        const std::uint8_t a0 = t[4 * c], a1 = t[4 * c + 1], a2 = t[4 * c + 2],
-                           a3 = t[4 * c + 3];
-        s[4 * c] = static_cast<std::uint8_t>(gmul(a0, 14) ^ gmul(a1, 11) ^
-                                             gmul(a2, 13) ^ gmul(a3, 9));
-        s[4 * c + 1] = static_cast<std::uint8_t>(gmul(a0, 9) ^ gmul(a1, 14) ^
-                                                 gmul(a2, 11) ^ gmul(a3, 13));
-        s[4 * c + 2] = static_cast<std::uint8_t>(gmul(a0, 13) ^ gmul(a1, 9) ^
-                                                 gmul(a2, 14) ^ gmul(a3, 11));
-        s[4 * c + 3] = static_cast<std::uint8_t>(gmul(a0, 11) ^ gmul(a1, 13) ^
-                                                 gmul(a2, 9) ^ gmul(a3, 14));
-      }
-    } else {
-      std::memcpy(s, t, 16);
-    }
-  }
-  std::memcpy(out, s, 16);
 }
 
 }  // namespace avsec::crypto

@@ -1,8 +1,8 @@
-// AES-128 / AES-256 block cipher (FIPS 197). Encryption runs on 32-bit
-// T-tables (one 4 KiB constexpr table set); the key schedule and
-// decryption keep the byte-wise S-box path, since nothing in the
-// simulator decrypts a block. Table lookups are key- and data-dependent,
-// so this is not side-channel hardened (DESIGN.md §11).
+// AES-128 / AES-256 block cipher (FIPS 197), encryption only: every mode
+// the simulator runs (CTR, GCM, CMAC) uses the forward cipher. Encryption
+// runs on 32-bit T-tables (one 4 KiB constexpr table set); the key
+// schedule keeps the byte-wise S-box path. Table lookups are key- and
+// data-dependent, so this is not side-channel hardened (DESIGN.md §11).
 #pragma once
 
 #include <array>
@@ -26,10 +26,8 @@ class Aes {
   explicit Aes(BytesView key);
 
   void encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const;
-  void decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const;
 
   Block encrypt(const Block& in) const;
-  Block decrypt(const Block& in) const;
 
   int rounds() const { return rounds_; }
 

@@ -35,7 +35,6 @@ std::optional<crypto::ShamirShare> KeyServer::release(
   }
   const auto it = shares_.find(grant.record_id);
   if (it == shares_.end()) return refuse();
-  ++releases_;
   return it->second;
 }
 

@@ -60,7 +60,6 @@ class KeyServer {
   /// Owner-signed revocation (modeled as a direct owner call).
   void revoke(const std::string& record_id, const std::string& consumer);
 
-  std::uint64_t releases() const { return releases_; }
   std::uint64_t refusals() const { return refusals_; }
 
  private:
@@ -68,7 +67,6 @@ class KeyServer {
   std::array<std::uint8_t, 32> owner_key_;
   std::map<std::string, crypto::ShamirShare> shares_;
   std::set<std::pair<std::string, std::string>> revoked_;
-  std::uint64_t releases_ = 0;
   std::uint64_t refusals_ = 0;
 };
 

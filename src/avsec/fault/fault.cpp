@@ -5,24 +5,6 @@
 
 namespace avsec::fault {
 
-const char* fault_kind_name(FaultKind k) {
-  switch (k) {
-    case FaultKind::kNodeCrash: return "node-crash";
-    case FaultKind::kNodeRestart: return "node-restart";
-    case FaultKind::kBabblingIdiot: return "babbling-idiot";
-    case FaultKind::kBabblingStop: return "babbling-stop";
-    case FaultKind::kLinkDrop: return "link-drop";
-    case FaultKind::kLinkCorrupt: return "link-corrupt";
-    case FaultKind::kLinkDelay: return "link-delay";
-    case FaultKind::kLinkPartition: return "link-partition";
-    case FaultKind::kLinkHeal: return "link-heal";
-    case FaultKind::kClockSkew: return "clock-skew";
-    case FaultKind::kByzantineValue: return "byzantine-value";
-    case FaultKind::kReplicaMute: return "replica-mute";
-  }
-  return "?";
-}
-
 // --- CanNodeFault ---
 
 CanNodeFault::CanNodeFault(core::Scheduler& sim, netsim::CanBus& bus,

@@ -46,8 +46,6 @@ enum class FaultKind : std::uint8_t {
   kReplicaMute,      // replica publishes nothing: values and heartbeats stop
 };
 
-const char* fault_kind_name(FaultKind k);
-
 struct FaultEvent {
   core::SimTime at = 0;
   FaultKind kind = FaultKind::kNodeCrash;
@@ -131,7 +129,6 @@ class SkewedClock {
   core::SimTime local_now() const;
   void set_skew_ppm(double ppm);
   void set_offset(core::SimTime offset) { offset_ = offset; }
-  double skew_ppm() const { return ppm_; }
 
  private:
   core::Scheduler& sim_;

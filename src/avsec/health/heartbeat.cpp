@@ -36,26 +36,6 @@ void Watchdog::disarm() {
   armed_ = false;
 }
 
-const char* source_state_name(SourceState s) {
-  switch (s) {
-    case SourceState::kAlive: return "alive";
-    case SourceState::kSuspect: return "suspect";
-    case SourceState::kDown: return "down";
-  }
-  return "?";
-}
-
-const char* heartbeat_event_kind_name(HeartbeatEventKind k) {
-  switch (k) {
-    case HeartbeatEventKind::kMiss: return "miss";
-    case HeartbeatEventKind::kDown: return "down";
-    case HeartbeatEventKind::kRecovered: return "recovered";
-    case HeartbeatEventKind::kProbeSent: return "probe-sent";
-    case HeartbeatEventKind::kProbeAnswered: return "probe-answered";
-  }
-  return "?";
-}
-
 ChallengeResponder::ChallengeResponder(netsim::FlakyChannel& channel)
     : channel_(channel) {
   channel_.bind(netsim::FlakyChannel::End::kB,

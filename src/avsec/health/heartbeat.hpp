@@ -59,8 +59,6 @@ enum class SourceState : std::uint8_t {
   kDown,     // miss budget exhausted
 };
 
-const char* source_state_name(SourceState s);
-
 struct HeartbeatConfig {
   /// Supervision tick: how often deadlines are evaluated.
   core::SimTime check_period = core::milliseconds(10);
@@ -77,8 +75,6 @@ enum class HeartbeatEventKind : std::uint8_t {
   kProbeSent,      // challenge nonce sent to a suspect source
   kProbeAnswered,  // the nonce came back: proof of life
 };
-
-const char* heartbeat_event_kind_name(HeartbeatEventKind k);
 
 struct HeartbeatEvent {
   core::SimTime time = 0;

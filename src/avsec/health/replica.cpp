@@ -7,7 +7,6 @@ void ReplicaPort::publish(double value, core::SimTime now) {
     ++suppressed_;
     return;
   }
-  ++published_;
   if (voter_ != nullptr) voter_->publish(replica_, value + bias_, now);
   if (monitor_ != nullptr) monitor_->heartbeat(name_);
 }

@@ -37,7 +37,6 @@ class ReplicaPort {
 
   const std::string& name() const { return name_; }
   int replica() const { return replica_; }
-  std::uint64_t published() const { return published_; }
   std::uint64_t suppressed() const { return suppressed_; }
 
  private:
@@ -47,7 +46,6 @@ class ReplicaPort {
   HeartbeatMonitor* monitor_ = nullptr;
   double bias_ = 0.0;
   bool muted_ = false;
-  std::uint64_t published_ = 0;
   std::uint64_t suppressed_ = 0;
 };
 

@@ -102,7 +102,6 @@ class SafetySupervisor {
   const std::vector<SupervisorEvent>& events() const { return events_; }
   std::uint64_t recoveries() const { return recoveries_; }
   std::uint64_t escalations() const { return escalations_; }
-  std::size_t unhealthy_sources() const { return unhealthy_.size(); }
 
  private:
   void tick();

@@ -7,15 +7,6 @@
 
 namespace avsec::health {
 
-const char* vote_policy_name(VotePolicy p) {
-  switch (p) {
-    case VotePolicy::kExactMatch: return "exact-match";
-    case VotePolicy::kToleranceBand: return "tolerance-band";
-    case VotePolicy::kMedian: return "median";
-  }
-  return "?";
-}
-
 RedundancyVoter::RedundancyVoter(VoterConfig config, int n_replicas)
     : config_(config),
       latest_(static_cast<std::size_t>(n_replicas)),

@@ -33,8 +33,6 @@ enum class VotePolicy : std::uint8_t {
   kMedian,
 };
 
-const char* vote_policy_name(VotePolicy p);
-
 struct VoterConfig {
   VotePolicy policy = VotePolicy::kToleranceBand;
   /// Agreement band half-width (tolerance/median policies).

@@ -40,7 +40,6 @@ void CanIds::learn(const CanObservation& obs) {
 void CanIds::freeze() { frozen_ = true; }
 
 std::vector<Alert> CanIds::monitor(const CanObservation& obs) {
-  ++monitored_;
   std::vector<Alert> out;
   const auto it = profiles_.find(obs.id);
   if (it == profiles_.end()) {
@@ -57,7 +56,6 @@ std::vector<Alert> CanIds::monitor(const CanObservation& obs) {
       out.push_back(Alert{AlertType::kPayloadAnomaly, obs.id, obs.time, 0.6,
                           obs.src_node});
     }
-    ++alerts_;
     return out;
   }
   IdProfile& p = it->second;
@@ -110,7 +108,6 @@ std::vector<Alert> CanIds::monitor(const CanObservation& obs) {
   // Hearing the ID re-arms silence detection.
   p.silence_alerted = false;
 
-  alerts_ += out.size();
   return out;
 }
 
@@ -130,7 +127,6 @@ std::vector<Alert> CanIds::check_silence(SimTime now, double silence_factor) {
       out.push_back(Alert{AlertType::kUnexpectedSilence, id, now, 0.85, -1});
     }
   }
-  alerts_ += out.size();
   return out;
 }
 

@@ -77,9 +77,6 @@ class CanIds {
   /// silent ID alerts once until it is heard again.
   std::vector<Alert> check_silence(SimTime now, double silence_factor = 5.0);
 
-  std::uint64_t frames_monitored() const { return monitored_; }
-  std::uint64_t alerts_raised() const { return alerts_; }
-
  private:
   struct ByteProfile {
     std::uint8_t min = 0xFF;
@@ -110,8 +107,6 @@ class CanIds {
   bool frozen_ = false;
   std::map<std::uint32_t, IdProfile> profiles_;
   std::map<std::uint32_t, UnknownIdState> unknown_;
-  std::uint64_t monitored_ = 0;
-  std::uint64_t alerts_ = 0;
 };
 
 }  // namespace avsec::ids

@@ -108,18 +108,6 @@ ResponseDecision ResponseEngine::decide(const Alert& alert,
 
 // --- DegradationManager ---
 
-const char* degradation_event_kind_name(DegradationEventKind k) {
-  switch (k) {
-    case DegradationEventKind::kServiceLost: return "service-lost";
-    case DegradationEventKind::kFailover: return "failover";
-    case DegradationEventKind::kFailback: return "failback";
-    case DegradationEventKind::kLimpHomeEntered: return "limp-home-entered";
-    case DegradationEventKind::kServiceRestored: return "service-restored";
-    case DegradationEventKind::kLimpHomeExited: return "limp-home-exited";
-  }
-  return "?";
-}
-
 DegradationManager::DegradationManager(DegradationConfig config,
                                        ResponseEngineConfig engine_config)
     : config_(config), engine_(engine_config) {}

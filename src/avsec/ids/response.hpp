@@ -72,8 +72,6 @@ enum class DegradationEventKind : std::uint8_t {
   kLimpHomeExited,
 };
 
-const char* degradation_event_kind_name(DegradationEventKind k);
-
 /// Structured degradation event, emitted in order.
 struct DegradationEvent {
   core::SimTime time = 0;

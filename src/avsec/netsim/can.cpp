@@ -31,15 +31,6 @@ bool can_frame_valid(const CanFrame& f) {
   return true;
 }
 
-const char* can_error_state_name(CanErrorState s) {
-  switch (s) {
-    case CanErrorState::kErrorActive: return "error-active";
-    case CanErrorState::kErrorPassive: return "error-passive";
-    case CanErrorState::kBusOff: return "bus-off";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Next valid CAN FD payload length for a requested size.
@@ -150,10 +141,6 @@ void CanBus::send(int node, CanFrame frame) {
 
 std::size_t CanBus::queue_depth(int node) const {
   return nodes_.at(static_cast<std::size_t>(node)).queue.size();
-}
-
-const std::string& CanBus::node_name(int node) const {
-  return nodes_.at(static_cast<std::size_t>(node)).name;
 }
 
 void CanBus::inject_errors_on(int node, int count) {

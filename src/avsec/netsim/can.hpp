@@ -70,8 +70,6 @@ enum class CanErrorState : std::uint8_t {
   kBusOff,        // TEC >= 256: disconnected until the recovery interval
 };
 
-const char* can_error_state_name(CanErrorState s);
-
 struct CanBusConfig {
   std::string name = "can0";
   std::int64_t nominal_bitrate = 500'000;  // arbitration phase
@@ -150,14 +148,12 @@ class CanBus {
   std::uint64_t error_frames() const { return error_frames_; }
   std::uint64_t bus_off_events() const { return bus_off_events_; }
   std::uint64_t bus_off_recoveries() const { return bus_off_recoveries_; }
-  SimTime busy_time() const { return busy_time_; }
   /// Bus load in [0,1] measured against elapsed sim time.
   double bus_load() const;
   const core::Samples& arbitration_wait() const { return arbitration_wait_; }
   const std::string& name() const { return config_.name; }
   std::size_t queue_depth(int node) const;
   std::size_t node_count() const { return nodes_.size(); }
-  const std::string& node_name(int node) const;
 
  private:
   struct Pending {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 
 namespace avsec::netsim {
 
@@ -11,13 +10,6 @@ MacAddress mac_from_index(std::uint16_t idx) {
   return MacAddress{0x02, 0xA5, 0x5E, 0x00,
                     static_cast<std::uint8_t>(idx >> 8),
                     static_cast<std::uint8_t>(idx & 0xFF)};
-}
-
-std::string mac_to_string(const MacAddress& mac) {
-  char buf[18];
-  std::snprintf(buf, sizeof(buf), "%02x:%02x:%02x:%02x:%02x:%02x", mac[0],
-                mac[1], mac[2], mac[3], mac[4], mac[5]);
-  return buf;
 }
 
 bool is_broadcast(const MacAddress& mac) {
@@ -41,19 +33,12 @@ EthLink::EthLink(core::Scheduler& sim, std::int64_t bitrate,
     : sim_(sim), bitrate_(bitrate), propagation_(propagation) {}
 
 void EthLink::connect(EthSink* a, EthSink* b) {
-  dirs_[0] = Direction{b, a, 0, 0};
-  dirs_[1] = Direction{a, b, 0, 0};
+  dirs_[0] = Direction{b, a, 0};
+  dirs_[1] = Direction{a, b, 0};
 }
 
 EthLink::Direction* EthLink::direction_from(const EthSink* from) {
   for (auto& d : dirs_) {
-    if (d.from == from) return &d;
-  }
-  return nullptr;
-}
-
-const EthLink::Direction* EthLink::direction_from(const EthSink* from) const {
-  for (const auto& d : dirs_) {
     if (d.from == from) return &d;
   }
   return nullptr;
@@ -66,24 +51,11 @@ void EthLink::send(const EthSink* from, EthFrame frame) {
       core::transmission_time(frame.wire_bits(), bitrate_);
   const SimTime start = std::max(sim_.now(), d->ready_at);
   d->ready_at = start + serialization;
-  d->busy += serialization;
-  ++frames_carried_;
   EthSink* to = d->to;
   sim_.schedule_at(d->ready_at + propagation_,
                    [to, f = std::move(frame), this] {
                      to->on_frame(f, sim_.now());
                    });
-}
-
-SimTime EthLink::busy_time(const EthSink* from) const {
-  const Direction* d = direction_from(from);
-  return d ? d->busy : 0;
-}
-
-double EthLink::utilization(const EthSink* from) const {
-  if (sim_.now() <= 0) return 0.0;
-  return static_cast<double>(busy_time(from)) /
-         static_cast<double>(sim_.now());
 }
 
 EthNic::EthNic(std::string name, MacAddress mac)
@@ -95,7 +67,6 @@ void EthNic::send(EthFrame frame) {
   // (e.g. MACsec-protected ones whose src is bound into the ICV) must not
   // have their addressing rewritten.
   if (frame.src == MacAddress{}) frame.src = mac_;
-  ++tx_frames_;
   link_->send(this, std::move(frame));
 }
 

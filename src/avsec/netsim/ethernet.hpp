@@ -27,7 +27,6 @@ using core::SimTime;
 using MacAddress = std::array<std::uint8_t, 6>;
 
 MacAddress mac_from_index(std::uint16_t idx);
-std::string mac_to_string(const MacAddress& mac);
 bool is_broadcast(const MacAddress& mac);
 
 inline constexpr std::uint16_t kEtherTypeIPv4 = 0x0800;
@@ -67,25 +66,19 @@ class EthLink {
   void send(const EthSink* from, EthFrame frame);
 
   std::int64_t bitrate() const { return bitrate_; }
-  std::uint64_t frames_carried() const { return frames_carried_; }
-  SimTime busy_time(const EthSink* from) const;
-  double utilization(const EthSink* from) const;
 
  private:
   struct Direction {
     EthSink* to = nullptr;
     const EthSink* from = nullptr;
     SimTime ready_at = 0;  // when the serializer is free
-    SimTime busy = 0;
   };
   Direction* direction_from(const EthSink* from);
-  const Direction* direction_from(const EthSink* from) const;
 
   core::Scheduler& sim_;
   std::int64_t bitrate_;
   SimTime propagation_;
   std::array<Direction, 2> dirs_{};
-  std::uint64_t frames_carried_ = 0;
 };
 
 /// A host network interface bound to one link end.
@@ -103,7 +96,6 @@ class EthNic : public EthSink {
 
   const MacAddress& mac() const { return mac_; }
   const std::string& name() const { return name_; }
-  std::uint64_t tx_frames() const { return tx_frames_; }
   std::uint64_t rx_frames() const { return rx_frames_; }
 
  private:
@@ -111,7 +103,6 @@ class EthNic : public EthSink {
   MacAddress mac_;
   EthLink* link_ = nullptr;
   RxCallback on_rx_;
-  std::uint64_t tx_frames_ = 0;
   std::uint64_t rx_frames_ = 0;
 };
 

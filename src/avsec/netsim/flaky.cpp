@@ -20,7 +20,6 @@ void FlakyChannel::send(End from, core::Bytes datagram) {
     const auto pos = static_cast<std::size_t>(rng_.uniform_int(
         0, static_cast<std::int64_t>(datagram.size()) - 1));
     datagram[pos] ^= 0xFF;
-    ++corrupted_;
   }
   sim_.schedule_in(total_latency(),
                    [this, from, d = std::move(datagram)] {

@@ -47,7 +47,6 @@ class FlakyChannel {
   void set_extra_delay(core::SimTime d) { config_.extra_delay = d; }
   /// A partitioned channel silently drops everything in both directions.
   void set_partitioned(bool on) { partitioned_ = on; }
-  bool partitioned() const { return partitioned_; }
 
   double drop_rate() const { return config_.drop_rate; }
   core::SimTime total_latency() const {
@@ -58,7 +57,6 @@ class FlakyChannel {
   std::uint64_t sent() const { return sent_; }
   std::uint64_t delivered() const { return delivered_; }
   std::uint64_t dropped() const { return dropped_; }
-  std::uint64_t corrupted() const { return corrupted_; }
   const std::string& name() const { return config_.name; }
 
  private:
@@ -71,7 +69,6 @@ class FlakyChannel {
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
-  std::uint64_t corrupted_ = 0;
 };
 
 }  // namespace avsec::netsim

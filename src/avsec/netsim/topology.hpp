@@ -41,7 +41,6 @@ class ZonalTopology {
   EthNic& cc_nic() { return *cc_nic_; }
   EthNic& zc1_nic() { return *zc1_nic_; }
   EthNic& zc2_nic() { return *zc2_nic_; }
-  EthSwitch& cc_switch() { return *switch_; }
 
   // Zone 1: CAN.
   CanBus& can_bus() { return *can_bus_; }

@@ -127,12 +127,6 @@ void render_lrp_into(const LrpCode& code, const PulseShape& shape,
   }
 }
 
-Signal render_lrp(const LrpCode& code, const PulseShape& shape) {
-  Signal s;
-  render_lrp_into(code, shape, s);
-  return s;
-}
-
 Channel::Channel(ChannelConfig config)
     : config_(config), rng_(config.seed) {}
 

@@ -69,9 +69,6 @@ struct PulseShape {
 /// Renders a chip code to a sampled waveform starting at sample 0.
 Signal render_chips(const ChipCode& code, const PulseShape& shape);
 
-/// Renders an LRP pattern (pulses only at coded positions).
-Signal render_lrp(const LrpCode& code, const PulseShape& shape);
-
 /// Scratch-reusing render variants: `out` is resized and overwritten.
 void render_chips_into(const ChipCode& code, const PulseShape& shape,
                        Signal& out);

@@ -87,9 +87,6 @@ class CanalPort {
   /// Segments and queues an Ethernet frame.
   void send_eth(const netsim::EthFrame& frame);
 
-  const CanalReassemblyStats& reassembly_stats() const {
-    return reassembler_.stats();
-  }
   std::uint64_t segments_sent() const { return segments_sent_; }
 
  private:

@@ -5,17 +5,6 @@
 
 namespace avsec::secproto {
 
-const char* session_state_name(SessionState s) {
-  switch (s) {
-    case SessionState::kIdle: return "idle";
-    case SessionState::kHandshaking: return "handshaking";
-    case SessionState::kEstablished: return "established";
-    case SessionState::kFailed: return "failed";
-    case SessionState::kClosed: return "closed";
-  }
-  return "?";
-}
-
 const char* session_event_kind_name(SessionEventKind k) {
   switch (k) {
     case SessionEventKind::kHelloSent: return "hello-sent";

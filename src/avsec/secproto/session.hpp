@@ -36,8 +36,6 @@ enum class SessionState : std::uint8_t {
   kClosed,       // torn down by the application
 };
 
-const char* session_state_name(SessionState s);
-
 enum class SessionEventKind : std::uint8_t {
   kHelloSent,
   kRetransmit,

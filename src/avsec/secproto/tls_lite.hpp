@@ -75,7 +75,6 @@ class TlsRecordLayer {
   Bytes seal(BytesView plaintext);
   std::optional<Bytes> open(BytesView record);
 
-  std::uint64_t seq_tx() const { return seq_tx_; }
   static constexpr std::size_t kOverhead = 8 + 16;  // seq + GCM tag
 
  private:

@@ -2,15 +2,6 @@
 
 namespace avsec::serve {
 
-const char* load_state_name(LoadState s) {
-  switch (s) {
-    case LoadState::kNominal: return "nominal";
-    case LoadState::kDegraded: return "degraded";
-    case LoadState::kShed: return "shed";
-  }
-  return "?";
-}
-
 LoadState LoadLadder::observe(double occupancy) {
   const int level = state_.load(std::memory_order_relaxed);
   // The rung this occupancy calls for, ignoring hysteresis.

@@ -24,8 +24,6 @@ enum class LoadState : std::uint8_t {
   kShed,      // new work is refused with a structured kOverloaded reply
 };
 
-const char* load_state_name(LoadState s);
-
 struct LadderConfig {
   /// Queue occupancy (depth / capacity) at or above which the ladder
   /// climbs toward DEGRADED.

@@ -111,11 +111,7 @@ class RequestScanner {
     skip_ws();
     if (!expect('{', error)) return false;
     skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      error = "request is missing required key \"scenario\"";
-      return false;
-    }
+    if (peek() == '}') return missing_scenario(error);
     bool have_scenario = false;
     for (;;) {
       skip_ws();
@@ -150,14 +146,12 @@ class RequestScanner {
       break;
     }
     skip_ws();
+    if (peek() == '}' && !have_scenario) return missing_scenario(error);
     if (!expect('}', error)) return false;
     skip_ws();
     if (pos_ != s_.size()) {
-      error = "trailing bytes after request object";
-      return false;
-    }
-    if (!have_scenario) {
-      error = "request is missing required key \"scenario\"";
+      error = "trailing bytes after request object at byte " +
+              std::to_string(pos_);
       return false;
     }
     return true;
@@ -165,6 +159,12 @@ class RequestScanner {
 
  private:
   char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
+  // Reported at the object's closing brace.
+  bool missing_scenario(std::string& error) const {
+    error = "request is missing required key \"scenario\" at byte " +
+            std::to_string(pos_);
+    return false;
+  }
   void skip_ws() {
     while (pos_ < s_.size() &&
            std::isspace(static_cast<unsigned char>(s_[pos_]))) {
@@ -185,6 +185,7 @@ class RequestScanner {
     if (!expect('"', error)) return false;
     out.clear();
     while (pos_ < s_.size() && s_[pos_] != '"') {
+      const std::size_t at = pos_;
       char c = s_[pos_++];
       if (c == '\\' && pos_ < s_.size()) {
         char e = s_[pos_++];
@@ -196,7 +197,7 @@ class RequestScanner {
           case '\\': c = '\\'; break;
           case '/': c = '/'; break;
           default:
-            error = "unsupported string escape";
+            error = "unsupported string escape at byte " + std::to_string(at);
             return false;
         }
       }
@@ -279,14 +280,19 @@ class RequestScanner {
     return expect(']', error);
   }
 
-  // Skips one scalar or flat-array value for unknown keys.
-  bool skip_value(std::string& error) {
+  // Skips one scalar or flat-array value for unknown keys. A nested
+  // array is refused, so no input can recurse deeper than one level.
+  bool skip_value(std::string& error, bool in_array = false) {
     std::string sink_s;
     bool sink_b = false;
     std::uint64_t sink_u = 0;
     if (peek() == '"') return parse_string(sink_s, error);
     if (peek() == 't' || peek() == 'f') return parse_bool(sink_b, error);
     if (peek() == '[') {
+      if (in_array) {
+        error = "nested array at byte " + std::to_string(pos_);
+        return false;
+      }
       ++pos_;
       skip_ws();
       if (peek() == ']') {
@@ -295,7 +301,7 @@ class RequestScanner {
       }
       for (;;) {
         skip_ws();
-        if (!skip_value(error)) return false;
+        if (!skip_value(error, true)) return false;
         skip_ws();
         if (peek() == ',') {
           ++pos_;

@@ -91,7 +91,6 @@ struct Reply {
   // --- wall-clock telemetry: excluded from render_reply() ---------------
   double latency_ms = 0.0;    // admission to reply
   std::uint32_t worker = 0;   // slot that executed the job
-  std::string slow_trace;     // trace kept because the request ran slow
 };
 
 /// Canonical one-line JSON rendering of a reply — the byte-identity
@@ -102,8 +101,9 @@ std::string render_reply(const Reply& r);
 /// Parses the daemon's newline-JSON request form:
 ///   {"scenario":"ivn-can","seeds":[1,2],"deadline_ms":50,
 ///    "max_events":0,"trace":false}
-/// Unknown keys are ignored; a malformed line sets `error` and returns
-/// false. Tolerates arbitrary whitespace between tokens.
+/// Unknown keys with a scalar or flat-array value are ignored; a malformed
+/// line sets `error`, which names the byte at fault, and returns false.
+/// Tolerates arbitrary whitespace between tokens.
 bool parse_request(std::string_view line, Request& out, std::string& error);
 
 }  // namespace avsec::serve

@@ -339,16 +339,12 @@ void Server::execute_job(WorkerSlot& slot, Job& job) {
           continue;
         }
       }
-      const bool want_trace =
-          si == 0 && (part.trace || config_.slow_trace_ms > 0);
-      std::string dump;
-      run_seed(slot, job, remaining_ms, out, want_trace ? &dump : nullptr);
+      const bool want_trace = si == 0 && part.trace;
+      run_seed(slot, job, remaining_ms, out, want_trace ? &r.trace : nullptr);
       if (out.attempts > 1) {
         counters_.runs_retried.fetch_add(1, std::memory_order_relaxed);
       }
       any_quarantined |= fault::is_quarantined(out.status);
-      if (si == 0 && part.trace) r.trace = dump;
-      if (si == 0 && config_.slow_trace_ms > 0) r.slow_trace = std::move(dump);
       // Fold in seed order through core::Accumulator: the reply's
       // aggregate is bit-stable no matter which worker ran the job.
       for (const auto& [name, value] : out.metrics) {
@@ -369,10 +365,6 @@ void Server::execute_job(WorkerSlot& slot, Job& job) {
     }
     r.latency_ms =
         static_cast<double>(wall_now_ns() - job.admit_ns) / 1e6;
-    if (config_.slow_trace_ms > 0 &&
-        r.latency_ms < static_cast<double>(config_.slow_trace_ms)) {
-      r.slow_trace.clear();  // fast enough: no explanation needed
-    }
     publish(part.ticket, std::move(r));
   }
 

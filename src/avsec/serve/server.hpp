@@ -84,10 +84,6 @@ struct ServerConfig {
   /// after retry.max_retries + 1 failed attempts); max_events /
   /// wall_deadline_ms are derived per request.
   fault::SupervisionConfig supervision;
-  /// When > 0, capture every job's first-seed trace and keep it on the
-  /// reply (slow_trace) if the job's wall latency exceeded this many
-  /// milliseconds — so a slow request can be explained after the fact.
-  std::int64_t slow_trace_ms = 0;
 };
 
 /// Monotonic counters, readable at any time. submitted == accepted +

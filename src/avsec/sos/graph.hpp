@@ -48,7 +48,6 @@ class SosGraph {
   int node_id(const std::string& name) const;  // -1 when absent
   const SosNode& node(int id) const { return nodes_.at(std::size_t(id)); }
   std::size_t node_count() const { return nodes_.size(); }
-  std::size_t edge_count() const { return edges_.size(); }
   const std::vector<SosEdge>& edges() const { return edges_; }
 
   /// Neighbors reachable from `id`.

@@ -4,15 +4,6 @@
 
 namespace avsec::sos {
 
-const char* ownership_name(Ownership o) {
-  switch (o) {
-    case Ownership::kOwned: return "owned";
-    case Ownership::kGap: return "gap";
-    case Ownership::kConflict: return "conflict";
-  }
-  return "?";
-}
-
 GovernanceModel integrated_oem_governance() {
   return GovernanceModel{"integrated OEM", 0.02, 0.03};
 }

@@ -32,8 +32,6 @@ enum class Ownership : std::uint8_t {
   kConflict,  // two owners with unsynchronized implementations
 };
 
-const char* ownership_name(Ownership o);
-
 /// How the partnership is organized.
 struct GovernanceModel {
   std::string name;

@@ -85,7 +85,6 @@ class DidRegistry {
 
   std::size_t size() const { return chain_.size(); }
   const std::vector<Block>& chain() const { return chain_; }
-  const std::vector<std::string>& anchors() const { return anchors_; }
 
   /// A verifier-side snapshot for offline resolution (paper §IV-C points
   /// out SSI's offline support): copy of the registry state at some time.

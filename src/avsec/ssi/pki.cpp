@@ -66,19 +66,6 @@ Certificate CertAuthority::sign_leaf(const std::string& subject,
   return cert;
 }
 
-const char* chain_verdict_name(ChainVerdict v) {
-  switch (v) {
-    case ChainVerdict::kValid: return "valid";
-    case ChainVerdict::kBadSignature: return "bad signature";
-    case ChainVerdict::kUntrustedRoot: return "untrusted root";
-    case ChainVerdict::kExpired: return "expired";
-    case ChainVerdict::kRevoked: return "revoked";
-    case ChainVerdict::kBrokenChain: return "broken chain";
-    case ChainVerdict::kNotACa: return "issuer not a CA";
-  }
-  return "?";
-}
-
 ChainVerdict verify_chain(
     const std::vector<Certificate>& chain,
     const std::vector<std::array<std::uint8_t, 32>>& trusted_roots,

@@ -50,9 +50,6 @@ class CertAuthority {
                         std::uint64_t serial,
                         std::uint64_t not_after = 0) const;
 
-  void revoke(std::uint64_t serial) { crl_.insert(serial); }
-  const std::set<std::uint64_t>& crl() const { return crl_; }
-
   const std::string& name() const { return name_; }
   const std::array<std::uint8_t, 32>& public_key() const {
     return kp_.public_key;
@@ -61,7 +58,6 @@ class CertAuthority {
  private:
   std::string name_;
   crypto::Ed25519KeyPair kp_;
-  std::set<std::uint64_t> crl_;
 };
 
 enum class ChainVerdict : std::uint8_t {
@@ -73,8 +69,6 @@ enum class ChainVerdict : std::uint8_t {
   kBrokenChain,
   kNotACa,
 };
-
-const char* chain_verdict_name(ChainVerdict v);
 
 /// Validates `chain` (leaf first, root last) against a set of trusted root
 /// keys and a combined CRL view. Returns kValid plus the number of

@@ -65,10 +65,6 @@ void Issuer::revoke(const std::string& credential_id) {
   revoked_.insert(credential_id);
 }
 
-bool Issuer::is_revoked(const std::string& credential_id) const {
-  return revoked_.count(credential_id) > 0;
-}
-
 const char* vc_verdict_name(VcVerdict v) {
   switch (v) {
     case VcVerdict::kValid: return "valid";

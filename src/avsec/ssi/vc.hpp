@@ -49,7 +49,6 @@ class Issuer {
 
   /// Revokes a credential id (status list maintained by the issuer).
   void revoke(const std::string& credential_id);
-  bool is_revoked(const std::string& credential_id) const;
   const std::set<std::string>& revocation_list() const { return revoked_; }
 
   const std::string& did() const { return did_; }
@@ -117,18 +116,11 @@ class Wallet {
   std::optional<VerifiablePresentation> present(
       const std::vector<std::string>& credential_ids, BytesView nonce) const;
 
-  /// Caches a registry snapshot for offline verification.
-  void cache_registry(const DidRegistry& registry) { offline_ = registry; }
-  const std::optional<DidRegistry>& offline_registry() const {
-    return offline_;
-  }
-
  private:
   std::string name_;
   crypto::Ed25519KeyPair kp_;
   std::string did_;
   std::vector<VerifiableCredential> credentials_;
-  std::optional<DidRegistry> offline_;
 };
 
 /// Full presentation check: holder proof + every contained credential.

@@ -39,13 +39,6 @@ TEST(Bytes, ReadBeOutOfRangeThrows) {
   EXPECT_THROW(read_be(buf, 0, 4), std::out_of_range);
 }
 
-TEST(Bytes, XorInto) {
-  Bytes a = {0xFF, 0x00, 0xAA};
-  const Bytes b = {0x0F, 0xF0, 0xAA};
-  xor_into(a, b);
-  EXPECT_EQ(a, (Bytes{0xF0, 0xF0, 0x00}));
-}
-
 TEST(Bytes, CtEqual) {
   const Bytes a = {1, 2, 3};
   const Bytes b = {1, 2, 3};

@@ -181,17 +181,6 @@ TEST(Samples, MinMaxLeaveValuesInInsertionOrder) {
   EXPECT_EQ(std::memcmp(&mean_before, &mean_after, sizeof(double)), 0);
 }
 
-TEST(Histogram, ClampsOutOfRange) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);
-  h.add(15.0);
-  h.add(5.0);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.bin_count(5), 1u);
-}
-
 TEST(Counter, CountsAndFractions) {
   Counter c;
   c.add("detected", 3);

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "avsec/core/rng.hpp"
 #include "avsec/crypto/drbg.hpp"
 #include "avsec/crypto/modes.hpp"
 #include "reference/reference.hpp"
@@ -17,9 +16,6 @@ TEST(Aes, Fips197Aes128Vector) {
   std::uint8_t ct[16];
   aes.encrypt_block(pt.data(), ct);
   EXPECT_EQ(to_hex(core::BytesView(ct, 16)), "69c4e0d86a7b0430d8cdb78070b4c55a");
-  std::uint8_t back[16];
-  aes.decrypt_block(ct, back);
-  EXPECT_EQ(core::Bytes(back, back + 16), pt);
 }
 
 TEST(Aes, Fips197Aes256Vector) {
@@ -34,18 +30,6 @@ TEST(Aes, Fips197Aes256Vector) {
 TEST(Aes, RejectsBadKeySize) {
   EXPECT_THROW(Aes(from_hex("00")), std::invalid_argument);
   EXPECT_THROW(Aes(core::Bytes(24, 0)), std::invalid_argument);  // no AES-192
-}
-
-TEST(Aes, EncryptDecryptRoundTripRandom) {
-  core::Rng rng(77);
-  core::Bytes key(16);
-  rng.fill_bytes(key);
-  const Aes aes(key);
-  for (int i = 0; i < 50; ++i) {
-    Aes::Block pt{};
-    for (auto& b : pt) b = static_cast<std::uint8_t>(rng.next());
-    EXPECT_EQ(aes.decrypt(aes.encrypt(pt)), pt);
-  }
 }
 
 TEST(AesCtr, KeystreamIsDeterministicAndCryptIsInvolutive) {

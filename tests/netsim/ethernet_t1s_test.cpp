@@ -28,7 +28,7 @@ TEST(EthFrame, WireBitsIncludeMinimumPadding) {
 
 TEST(Mac, FormattingAndBroadcast) {
   const auto mac = mac_from_index(0x0102);
-  EXPECT_EQ(mac_to_string(mac), "02:a5:5e:00:01:02");
+  EXPECT_EQ(mac, (MacAddress{0x02, 0xa5, 0x5e, 0x00, 0x01, 0x02}));
   EXPECT_FALSE(is_broadcast(mac));
   MacAddress bcast;
   bcast.fill(0xFF);

@@ -1,9 +1,9 @@
-// avsec-lint rule-engine tests: every rule R1-R7 is demonstrated by a
+// avsec-lint rule-engine tests: every rule R1-R7, R9 is demonstrated by a
 // fixture file that fails with the exact rule id and line number, plus a
 // suppression fixture that lints clean and a negatives fixture that must
 // never fire. Fixtures live in tests/tools/fixtures/ (excluded from the
 // whole-tree avsec_lint_tree scan precisely because they violate on
-// purpose). The whole-program rules R5-R7 go through lint_sources — the
+// purpose). The whole-program rules R5-R7, R9 go through lint_sources — the
 // same pass-1 + pass-2 pipeline the scan driver runs — and the driver
 // itself is exercised for serial/parallel report identity.
 #include <algorithm>
@@ -364,16 +364,24 @@ TEST(LintR5, TaintCrossesFileBoundaries) {
   EXPECT_EQ(findings[0].line, 2);
 }
 
+// The pool that calls ReusableCtx::reset(), so R9 sees the R6 fixtures'
+// reset() in use and the R6 tests report R6 alone.
+const std::pair<std::string, std::string> kResetCaller = {
+    "src/avsec/fault/pool_user.cpp",
+    "void recycle(ReusableCtx& c) { c.reset(); }\n"};
+
 TEST(LintR6, FlagsMemberMissedByReset) {
   const auto findings = lint_sources(
-      {{"src/avsec/fault/context_pool.hpp", read_fixture("r6_reset_gap.hpp")}});
+      {{"src/avsec/fault/context_pool.hpp", read_fixture("r6_reset_gap.hpp")},
+       kResetCaller});
   const std::vector<std::pair<std::string, int>> expected = {{"R6", 13}};
   EXPECT_EQ(rule_lines(findings), expected);
 }
 
 TEST(LintR6, WaiverAtMemberDeclarationLintsClean) {
   const auto findings = lint_sources(
-      {{"src/avsec/fault/context_pool.hpp", read_fixture("r6_suppressed.hpp")}});
+      {{"src/avsec/fault/context_pool.hpp", read_fixture("r6_suppressed.hpp")},
+       kResetCaller});
   EXPECT_TRUE(findings.empty())
       << (findings.empty() ? "" : format(findings[0]));
 }
@@ -382,7 +390,8 @@ TEST(LintR6, OnlyPooledPathsAreHeldToResetCompleteness) {
   // The same gap outside the pooled-class path set is not a finding: R6
   // is a contract for reused objects, not every class.
   const auto findings = lint_sources(
-      {{"src/avsec/health/context_pool.hpp", read_fixture("r6_reset_gap.hpp")}});
+      {{"src/avsec/health/context_pool.hpp", read_fixture("r6_reset_gap.hpp")},
+       kResetCaller});
   EXPECT_TRUE(findings.empty())
       << (findings.empty() ? "" : format(findings[0]));
 }
@@ -402,15 +411,66 @@ TEST(LintR7, WaiverAtTouchLintsClean) {
       << (findings.empty() ? "" : format(findings[0]));
 }
 
+// The r9_* fixtures as one program: a src/ header, its .cpp and a caller.
+std::vector<std::pair<std::string, std::string>> r9_program() {
+  return {{"src/avsec/sim/api.hpp", read_fixture("r9_api.hpp")},
+          {"src/avsec/sim/api.cpp", read_fixture("r9_api.cpp")},
+          {"src/avsec/app/use.cpp", read_fixture("r9_callers.cpp")}};
+}
+
+TEST(LintR9, FlagsOnlyTheUncalledHeaderFunctions) {
+  // Quiet: a function called from another file, one called only in its own
+  // .cpp, one called through a member, an overload whose sibling is
+  // called, a waived one, constructors, a destructor, an operator, a
+  // deleted function and an override.
+  const auto findings = lint_sources(r9_program());
+  const std::vector<std::pair<std::string, int>> expected = {{"R9", 22},
+                                                             {"R9", 34}};
+  EXPECT_EQ(rule_lines(findings), expected);
+  for (const Finding& f : findings) EXPECT_EQ(f.file, "src/avsec/sim/api.hpp");
+}
+
+TEST(LintR9, OnlySrcHeadersDeclareTheCheckedApi) {
+  auto program = r9_program();
+  program[0].first = "tests/sim/api.hpp";
+  const auto findings = lint_sources(program);
+  EXPECT_TRUE(findings.empty())
+      << (findings.empty() ? "" : format(findings[0]));
+}
+
+TEST(LintR9, WaiverWithoutReasonIsR0AndDoesNotSuppress) {
+  const auto findings = lint_sources(
+      {{"src/avsec/sim/bare.hpp", read_fixture("r9_bare_waiver.hpp")}});
+  const std::vector<std::pair<std::string, int>> expected = {{"R0", 7},
+                                                             {"R9", 8}};
+  EXPECT_EQ(rule_lines(findings), expected);
+}
+
+TEST(LintR9, MacroBodiesAndInitializersAreUses) {
+  const auto findings = lint_sources(
+      {{"src/avsec/sim/hooks.hpp",
+        "#pragma once\n"
+        "int in_macro();\n"
+        "int in_initializer();\n"
+        "int in_paren_init();\n"
+        "#define HOOK() in_macro()\n"
+        "inline int kFirst = in_initializer();\n"
+        "struct Box { explicit Box(int); };\n"
+        "inline Box kBox(in_paren_init());\n"
+        "inline const Box& kAlias = kBox;\n"}});
+  EXPECT_TRUE(findings.empty())
+      << (findings.empty() ? "" : format(findings[0]));
+}
+
 // ---------------------------------------------------------------------------
 // Scan driver: serial/parallel identity and SARIF shape.
 // ---------------------------------------------------------------------------
 
 TEST(LintDriver, ParallelScanReproducesSerialReportByteForByte) {
   // The whole fixture directory: per-line findings in many files plus
-  // pass-2 findings whose excerpts the driver resolves through the slot
-  // of each flagged file, so a result landing in another file's slot
-  // changes the report.
+  // pass-2 findings (cross-file R5, R9) whose excerpts the driver
+  // resolves through the slot of each flagged file, so a result landing
+  // in another file's slot changes the report.
   avsec::lint::ScanOptions opts;
   opts.root = AVSEC_LINT_FIXTURE_DIR;
   opts.inputs = {"."};
@@ -427,6 +487,13 @@ TEST(LintDriver, ParallelScanReproducesSerialReportByteForByte) {
                    });
   ASSERT_NE(cross_file_r5, serial.findings.end());
   EXPECT_EQ(cross_file_r5->excerpt, "long step() { return raw_ns() + 1; }");
+  const auto unreferenced =
+      std::find_if(serial.findings.begin(), serial.findings.end(),
+                   [](const Finding& f) { return f.rule == "R9"; });
+  ASSERT_NE(unreferenced, serial.findings.end());
+  EXPECT_EQ(unreferenced->file, "src/avsec/sim/clock_util.hpp");
+  EXPECT_EQ(unreferenced->line, 9);
+  EXPECT_EQ(unreferenced->excerpt, "long ms_since(long start_ns);");
   const std::string report = avsec::lint::render_report(serial);
   const std::string sarif = avsec::lint::render_sarif(serial.findings);
 

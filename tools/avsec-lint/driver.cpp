@@ -99,6 +99,8 @@ constexpr RuleDoc kRuleDocs[] = {
      "pooled-class member not reassigned by reset()"},
     {"R7", "unguarded-member-touch",
      "AVSEC_GUARDED_BY member touched without its mutex"},
+    {"R9", "unreferenced-function",
+     "function declared in a src/ header that no scanned file names"},
 };
 
 }  // namespace

@@ -179,7 +179,9 @@ class IndexBuilder {
   FileIndex build() {
     collect_includes();
     collect_aliases();
+    collect_macro_refs();
     walk();
+    idx_.refs.assign(refs_.begin(), refs_.end());
     return std::move(idx_);
   }
 
@@ -269,6 +271,34 @@ class IndexBuilder {
         }
       }
       if (banned) banned_aliases_[alias] = alias_line;
+    }
+  }
+
+  // Identifiers in a #define body are references: a function that a macro
+  // expands to is used wherever the macro is.
+  void collect_macro_refs() {
+    for (const Token& t : toks_) {
+      const std::string& s = t.text;
+      const std::size_t d = s.find_first_not_of(" \t", 1);
+      if (t.kind != TokKind::kPreprocessor || d == std::string::npos ||
+          s.compare(d, 6, "define") != 0) {
+        continue;
+      }
+      for (std::size_t i = 0; i < s.size();) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (std::isalpha(c) == 0 && c != '_') {
+          ++i;
+          continue;
+        }
+        std::size_t j = i;
+        while (j < s.size() &&
+               (std::isalnum(static_cast<unsigned char>(s[j])) != 0 ||
+                s[j] == '_')) {
+          ++j;
+        }
+        refs_.insert(s.substr(i, j - i));
+        i = j;
+      }
     }
   }
 
@@ -420,6 +450,7 @@ class IndexBuilder {
       } else if (Scope* cls = class_top()) {
         record_class_token(cls, ci);
       }
+      record_name(ci);
     }
     while (!stack_.empty()) pop_scope();
   }
@@ -462,9 +493,13 @@ class IndexBuilder {
       s.kind = info.kind;
     }
     stack_.push_back(std::move(s));
+    decl_stmt_ = {};
   }
 
-  void pop_scope() { stack_.pop_back(); }
+  void pop_scope() {
+    stack_.pop_back();
+    decl_stmt_ = {};
+  }
 
   // AVSEC_REQUIRES(...) between the parameter list and the body.
   void collect_decl_requires(int open_ci, FnDef& fn) {
@@ -557,6 +592,76 @@ class IndexBuilder {
       }
       fn->calls.push_back(std::move(call));
     }
+  }
+
+  // ---- R9 reach index -------------------------------------------------
+  // A function declarator at namespace or class scope is a declaration
+  // site; every other identifier is a reference. The statement state
+  // tells a declarator from a call in an initializer: `int f(int);`
+  // declares f, `int x = f(1);` and `T t(f(1));` name it.
+  void record_name(int ci) {
+    const bool decl_scope =
+        !in_function() &&
+        (stack_.empty() || stack_.back().kind == Scope::kNamespace ||
+         stack_.back().kind == Scope::kClass);
+    const std::string_view t = text(ci);
+    if (decl_scope) track_decl_stmt(ci);
+    if (!is_ident(ci) || is_keyword(ci)) return;
+    if (decl_scope && decl_stmt_.depth == 0 && !decl_stmt_.assigned &&
+        text(ci + 1) == "(" && declarator_before(ci)) {
+      record_decl(ci);
+      return;
+    }
+    refs_.emplace(t);
+  }
+
+  void track_decl_stmt(int ci) {
+    const std::string_view t = text(ci);
+    if (t == ";") {
+      decl_stmt_ = {};
+    } else if (t == "(" || t == "[") {
+      ++decl_stmt_.depth;
+    } else if ((t == ")" || t == "]") && decl_stmt_.depth > 0) {
+      --decl_stmt_.depth;
+    } else if (t == "<" &&
+               (decl_stmt_.angle > 0 || text(ci - 1) == "template")) {
+      ++decl_stmt_.angle;  // template parameter list: `= default` args
+    } else if (t == ">" && decl_stmt_.angle > 0) {
+      --decl_stmt_.angle;
+    } else if (t == "=" && decl_stmt_.depth == 0 && decl_stmt_.angle == 0) {
+      decl_stmt_.assigned = true;
+    } else if (t == "operator") {
+      decl_stmt_.saw_operator = true;
+    }
+  }
+
+  // The token before a declarator name: a return type, `~`, or a `X::`
+  // qualifier of an out-of-line definition.
+  bool declarator_before(int ci) const {
+    const std::string_view p = text(ci - 1);
+    if (p == "::") return is_ident(ci - 2) || text(ci - 2) == ">";
+    return is_ident(ci - 1) || p == "~" || p == ">" || p == "*" ||
+           p == "&" || p == "&&";
+  }
+
+  // Lists the declarator unless it names a constructor, destructor,
+  // operator, override, deleted function or AVSEC_ macro.
+  void record_decl(int ci) {
+    const std::string name(text(ci));
+    if (decl_stmt_.saw_operator || text(ci - 1) == "~" ||
+        name.rfind("AVSEC_", 0) == 0) {
+      return;
+    }
+    if (text(ci - 1) == "::" && text(ci - 2) == name) return;  // X::X(
+    if (const Scope* cls = class_top(); cls && cls->name == name) return;
+    const int close = match_[ci + 1];
+    for (int j = close + 1; close > 0 && j < ncode(); ++j) {
+      const std::string_view t = text(j);
+      if (t == ";" || t == "{" || t == "}") break;
+      if (t == "override" || t == "final") return;
+      if (t == "=" && text(j + 1) == "delete") return;
+    }
+    idx_.decls.push_back({name, tok(ci).line});
   }
 
   // ---- class-body member extraction -----------------------------------
@@ -731,6 +836,13 @@ class IndexBuilder {
   FileIndex idx_;
   std::map<std::string, int> banned_aliases_;  // alias -> declaration line
   std::set<std::string> touched_;  // per-function dedupe, cleared on entry
+  std::set<std::string> refs_;
+  struct DeclStmt {
+    int depth = 0;  // ( and [ nesting
+    int angle = 0;  // template parameter list nesting
+    bool assigned = false;
+    bool saw_operator = false;
+  } decl_stmt_;  // the namespace- or class-scope statement being read
 };
 
 }  // namespace

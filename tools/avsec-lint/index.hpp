@@ -1,18 +1,20 @@
 // avsec-lint pass 1: the per-file project index.
 //
 // The per-line rules (R1-R4, rules.hpp) see one token stream at a time;
-// the whole-program rules (R5-R7, project.hpp) need to see across
+// the whole-program rules (R5-R7, R9, project.hpp) need to see across
 // translation units: a call graph to propagate nondeterminism taint, the
 // member list of a class whose reset() lives in another file, the guard
-// annotation of a member touched by an out-of-line method. build_index()
-// extracts exactly that — and nothing more — from one file's token
-// stream:
+// annotation of a member touched by an out-of-line method, whether any
+// file names a declared function at all. build_index() extracts exactly
+// that — and nothing more — from one file's token stream:
 //
 //   - the quoted include list (the project include graph),
 //   - every function/method definition with its call sites, the distinct
 //     identifiers its body touches, the mutexes it locks or AVSEC_REQUIRES,
 //     and whether its body reads a nondeterminism source directly,
 //   - every class data-member declaration with its AVSEC_GUARDED_BY guard,
+//   - every function declared or defined at namespace or class scope, and
+//     every identifier named anywhere else (R9's reach check),
 //   - the file's ALLOW suppressions (whole-program findings
 //     are attributed to declaration/call lines, so suppression ranges must
 //     travel with the index to wherever the finding is finally decided).
@@ -102,6 +104,14 @@ struct MemberDecl {
   std::string guarded_by;   // AVSEC_GUARDED_BY capability; "" = unguarded
 };
 
+/// A function declarator at namespace or class scope (a declaration or a
+/// definition). Constructors, destructors, operators, overrides, deleted
+/// functions and AVSEC_ macros are declaration sites but are not listed.
+struct FnDecl {
+  std::string name;
+  int line = 0;
+};
+
 /// Everything pass 2 needs to know about one file.
 struct FileIndex {
   std::string label;
@@ -109,6 +119,10 @@ struct FileIndex {
   std::vector<FnDef> fns;
   std::vector<MemberDecl> members;
   std::vector<RequireDecl> require_decls;
+  std::vector<FnDecl> decls;
+  // Sorted distinct identifiers (macro bodies included) that are not the
+  // name of a function declaration site: the names this file uses.
+  std::vector<std::string> refs;
   std::vector<Suppression> suppressions;
 };
 

@@ -1,10 +1,10 @@
 // avsec-lint CLI: scans the given files/directories (default: src tests
-// bench examples tools under --root) and prints findings in a
+// bench examples tools perfbench under --root) and prints findings in a
 // diff-friendly `file:line: [Rn] message` format. Exit status 0 = clean,
 // 1 = findings, 2 = usage/IO error.
 //
 // Typical invocations:
-//   avsec-lint --root . src tests bench examples tools
+//   avsec-lint --root . src tests bench examples tools perfbench
 //   avsec-lint --root . --jobs 8 --sarif lint.sarif
 //   avsec-lint src/avsec/fault/campaign.cpp
 //   avsec-lint --list-rules
@@ -27,28 +27,31 @@ namespace {
 constexpr const char* kUsage =
     "usage: avsec-lint [--root DIR] [--jobs N] [--sarif FILE]\n"
     "                  [--list-rules] [path...]\n"
-    "  Scans C++ sources for determinism/hygiene violations (R1-R7).\n"
-    "  Paths are files or directories (recursed); default: src tests\n"
-    "  bench examples tools. Fixture trees (tests/tools/fixtures) and\n"
-    "  build directories are skipped.\n"
+    "  Scans C++ sources for determinism/hygiene violations and\n"
+    "  unreferenced src/ API (R1-R7, R9). Paths are files or directories\n"
+    "  (recursed); default: src tests bench examples tools perfbench.\n"
+    "  Fixture trees (tests/tools/fixtures) and build directories are\n"
+    "  skipped.\n"
     "  --jobs N    scan files on up to N worker threads; 0 or 1 scans\n"
     "              serially (report is identical)\n"
     "  --sarif F   also write findings as SARIF 2.1.0 to F\n";
 
 constexpr const char* kRules =
     "R1  nondeterminism source (std::rand, random_device, wall clocks,\n"
-    "    __DATE__/__TIME__) outside core/rng and bench/\n"
+    "    __DATE__/__TIME__) outside core/rng, bench/ and perfbench/\n"
     "R2  iteration over unordered_{map,set} in aggregation/reporting\n"
     "    paths (fault/, core/stats, health/, ids/correlation)\n"
     "R3  raw floating-point '+=' reduction loop in src/ and tools/\n"
     "    outside core/stats (use core::Accumulator)\n"
     "R4  header does not open with '#pragma once'\n"
     "R5  call graph transitively reaches a nondeterminism source outside\n"
-    "    core/rng and bench/ (whole-program taint)\n"
+    "    core/rng, bench/ and perfbench/ (whole-program taint)\n"
     "R6  pooled-class data member not reassigned by reset()\n"
     "    (reset-determinism contract, DESIGN.md section 8)\n"
     "R7  AVSEC_GUARDED_BY member touched in a method that neither locks\n"
     "    nor AVSEC_REQUIRES its mutex\n"
+    "R9  function declared in a src/ header that no scanned file names\n"
+    "    outside its declarations and definitions (name match only)\n"
     "\n"
     "Suppress with: // AVSEC-LINT-ALLOW(<rule>): <reason>\n";
 
@@ -117,7 +120,7 @@ int main(int argc, char** argv) {
     opts.inputs.push_back(arg);
   }
   if (opts.inputs.empty()) {
-    opts.inputs = {"src", "tests", "bench", "examples", "tools"};
+    opts.inputs = {"src", "tests", "bench", "examples", "tools", "perfbench"};
   }
 
   // Wall-clock timing is stderr-only operator feedback; the stdout report

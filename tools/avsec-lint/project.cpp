@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string_view>
 
 namespace avsec::lint {
 namespace {
@@ -51,6 +52,7 @@ class ProjectLint {
     rule_r5();
     rule_r6();
     rule_r7();
+    rule_r9();
     std::sort(findings_.begin(), findings_.end());
     findings_.erase(std::unique(findings_.begin(), findings_.end(),
                                 [](const Finding& a, const Finding& b) {
@@ -257,6 +259,24 @@ class ProjectLint {
                     "on gcc builds that clang TSA would reject");
           }
         }
+      }
+    }
+  }
+
+  // ---- R9: unreferenced function -------------------------------------
+  void rule_r9() {
+    std::set<std::string_view> named;
+    for (const FileIndex& f : pi_.files) named.insert(f.refs.begin(), f.refs.end());
+    for (int fi = 0; fi < static_cast<int>(pi_.files.size()); ++fi) {
+      const PathClass& pc = pcs_[static_cast<std::size_t>(fi)];
+      if (!pc.wpa || !pc.header) continue;  // src/ headers declare the API
+      for (const FnDecl& d : file(fi).decls) {
+        if (named.count(d.name)) continue;
+        add(fi, d.line, "R9",
+            "function '" + d.name +
+                "' is declared in a src/ header but no file names it "
+                "outside its declarations and definitions: delete it, or "
+                "waive with ALLOW(R9) stating why it is kept");
       }
     }
   }

@@ -21,6 +21,13 @@
 //       guard or .lock()) or declare AVSEC_REQUIRES(mu). Constructors and
 //       destructors are exempt (single-threaded by construction). This is
 //       the gcc-build analogue of clang -Wthread-safety.
+//   R9  unreferenced function — a function declared or defined in a src/
+//       header whose name no identifier anywhere in the scanned tree
+//       mentions, apart from its own declaration and definition sites.
+//       Matching is by name only: an overload or a same-named member
+//       elsewhere counts as a use, so the rule errs towards silence.
+//       Constructors, destructors, operators, overrides, deleted
+//       functions and AVSEC_ macros are never findings.
 //
 // All pass-2 findings are attributed to a concrete (file, line) — member
 // declaration, call site, or touch — and the ALLOW machinery works there
@@ -43,7 +50,7 @@ struct ProjectIndex {
   std::vector<FileIndex> files;
 };
 
-/// Runs R5-R7 over the merged index. Findings are sorted and already
+/// Runs R5-R7 and R9 over the merged index. Findings are sorted and already
 /// filtered through each file's suppressions (R0 for malformed waivers is
 /// emitted by pass 1, not here).
 std::vector<Finding> lint_project(const ProjectIndex& pi);
@@ -51,7 +58,7 @@ std::vector<Finding> lint_project(const ProjectIndex& pi);
 /// Full pipeline over in-memory sources: per-line pass on each file, then
 /// the project pass over the merged indexes; one sorted findings list.
 /// This is exactly what the driver does for a filesystem scan, and
-/// what fixture tests use to exercise R5-R7 deterministically.
+/// what fixture tests use to exercise R5-R7 and R9 deterministically.
 std::vector<Finding> lint_sources(
     const std::vector<std::pair<std::string, std::string>>& label_and_source);
 

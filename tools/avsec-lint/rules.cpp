@@ -402,7 +402,8 @@ PathClass classify_path(std::string_view label) {
   std::string norm(label);
   std::replace(norm.begin(), norm.end(), '\\', '/');
   pc.r1_exempt = starts_with(norm, "bench/") || contains(norm, "/bench/") ||
-                 contains(norm, "core/rng.");
+                 starts_with(norm, "perfbench/") ||
+                 contains(norm, "/perfbench/") || contains(norm, "core/rng.");
   pc.r2_applies = contains(norm, "fault/") || contains(norm, "core/stats") ||
                   contains(norm, "health/") ||
                   contains(norm, "ids/correlation") || contains(norm, "obs/") ||

@@ -40,7 +40,7 @@ namespace avsec::lint {
 struct Finding {
   std::string file;  // root-relative label, forward slashes
   int line = 0;
-  std::string rule;     // "R0".."R7"
+  std::string rule;     // "R0".."R9"
   std::string message;  // human explanation, one line
   std::string excerpt;  // trimmed source line
 };
@@ -55,13 +55,13 @@ std::string format(const Finding& f);
 /// Which rules apply is derived from the file's root-relative label, so
 /// callers (CLI and tests) control classification by choosing the label.
 struct PathClass {
-  bool r1_exempt = false;      // core/rng.* and bench/ may read clocks
+  bool r1_exempt = false;      // core/rng.*, bench/, perfbench/ read clocks
   bool r2_applies = false;     // aggregation/reporting paths only
   bool r3_applies = false;     // src/ and tools/ outside core/stats
   bool header = false;         // R4 target
-  // Whole-program (R5-R7) scopes, all derived from the label too:
-  bool wpa = false;            // R5 call-graph scope: sim/reporting src/
-  bool barrier = false;        // taint barrier: core/rng.* and bench/
+  // Whole-program (R5-R7, R9) scopes, all derived from the label too:
+  bool wpa = false;            // R5 call sites, R9 headers: src/
+  bool barrier = false;        // taint barrier: the R1-exempt paths
   bool r6_pool = false;        // pooled-reuse classes live here (reset law)
 };
 PathClass classify_path(std::string_view label);
