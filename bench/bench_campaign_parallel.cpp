@@ -7,12 +7,15 @@
 //     worker's pooled SimContext (scheduler reset between seeds) —
 //     speedup_vs_fresh is what the pool buys;
 //  b) scheduler cost: raw event churn on one reset-and-reused scheduler,
-//     in ns per event;
+//     in ns per event, with in-place bodies (scheduler_churn) and with
+//     bodies that capture a core::Bytes and so are boxed
+//     (scheduler_churn_boxed);
 //  c) throughput: sweep wall-clock scales with workers (speedup vs the
 //     same-mode serial arm; ~1 on a single-core host — the JSON header
 //     records hardware_concurrency so the number is interpretable).
 #include <cstdio>
 
+#include "avsec/core/bytes.hpp"
 #include "avsec/core/table.hpp"
 #include "avsec/core/parallel.hpp"
 #include "avsec/fault/campaign.hpp"
@@ -64,12 +67,13 @@ fault::Campaign make_campaign(std::size_t runs, std::size_t workers) {
 
 // Raw scheduler event churn (schedule + cancel half + drain): the
 // pattern a campaign run hammers, isolated from simulated work.
-void churn(core::Scheduler& sim, std::size_t events) {
+// `body(i)` makes the i-th event body.
+template <class MakeBody>
+void churn(core::Scheduler& sim, std::size_t events, MakeBody body) {
   std::vector<core::EventHandle> handles;
   handles.reserve(events);
   for (std::size_t i = 0; i < events; ++i) {
-    handles.push_back(
-        sim.schedule_at(static_cast<core::SimTime>(i), [] {}));
+    handles.push_back(sim.schedule_at(static_cast<core::SimTime>(i), body(i)));
   }
   for (std::size_t i = 0; i < events; i += 2) sim.cancel(handles[i]);
   sim.run();
@@ -92,10 +96,20 @@ int main(int argc, char** argv) {
   const double churn_ns = h.time("scheduler_churn", churn_ops, [&] {
     for (std::size_t r = 0; r < reps; ++r) {
       warm.reset();
-      churn(warm, events);
+      churn(warm, events, [](std::size_t) { return [] {}; });
     }
   });
   std::printf("scheduler churn: %.0f ns/event\n", churn_ns / churn_ops);
+  const double boxed_ns = h.time("scheduler_churn_boxed", churn_ops, [&] {
+    for (std::size_t r = 0; r < reps; ++r) {
+      warm.reset();
+      churn(warm, events, [](std::size_t i) {
+        return [frame = core::Bytes(8, static_cast<std::uint8_t>(i))] {};
+      });
+    }
+  });
+  std::printf("scheduler churn (boxed bodies): %.0f ns/event\n",
+              boxed_ns / churn_ops);
 
   // --- engine-mode arms: fresh worlds vs pooled contexts, serial -------
   fault::CampaignReport fresh_report;

@@ -10,7 +10,8 @@ EventHandle Scheduler::schedule_at(SimTime at, Callback cb) {
   assert(at >= now_ && "cannot schedule into the past");
   settled_.push_back(false);
   const std::uint64_t id = settled_.size();
-  heap_.push_back(Event{std::max(at, now_), id, std::move(cb)});
+  heap_.push_back(Event{std::max(at, now_), id, cb.thunk_});
+  cb.thunk_.ops = nullptr;  // the heap owns the body now
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   return EventHandle(id);
 }
@@ -33,6 +34,7 @@ void Scheduler::drop_cancelled_front() {
   // tombstone, because dispatch pops before it settles.
   while (!heap_.empty() && settled_[heap_.front().id - 1]) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.back().body.release();
     heap_.pop_back();
     --cancelled_;
   }
@@ -43,13 +45,16 @@ bool Scheduler::pop_one() {
   drop_cancelled_front();
   if (heap_.empty()) return false;
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event ev = std::move(heap_.back());
+  const Event ev = heap_.back();
   heap_.pop_back();
+  // Owns the body from here: released after it runs, or when the observer
+  // or the body throws.
+  Callback body(ev.body);
   settled_[ev.id - 1] = true;
   now_ = ev.time;
   ++dispatched_;
   if (observer_ != nullptr) observer_->on_dispatch(now_, dispatched_);
-  ev.cb();
+  body.thunk_.invoke();
   return true;
 }
 
@@ -76,8 +81,13 @@ std::size_t Scheduler::run_until(SimTime until) {
 
 bool Scheduler::step() { return pop_one(); }
 
+void Scheduler::release_pending() {
+  for (Event& ev : heap_) ev.body.release();
+}
+
 void Scheduler::reset() {
   affinity_.rebind();
+  release_pending();
   heap_.clear();
   settled_.clear();
   cancelled_ = 0;

@@ -1,6 +1,6 @@
 // Discrete-event simulation kernel.
 //
-// A Scheduler owns a binary heap of (time, id, callback) events. Ids are
+// A Scheduler owns a binary heap of (time, id, body) events. Ids are
 // handed out in scheduling order, so they double as the tie-breaker:
 // events scheduled for the same instant fire in scheduling order, which
 // keeps runs bit-reproducible across platforms.
@@ -8,9 +8,26 @@
 // Cancellation is lazy: cancel() only marks the event settled (one bit in
 // a vector indexed by id — campaigns cancel thousands of retransmit and
 // watchdog timers per run, so cancellation must be O(1)) and counts it as
-// a tombstone; the event body is dropped when it reaches the front of the
-// heap. Popping moves the event out of the heap storage instead of
-// copying it, so a pop never copy-constructs the std::function payload.
+// a tombstone; the event body is released when it reaches the front of
+// the heap.
+//
+// Event bodies are core::Callback, a move-only std::function<void()>
+// without the copy. A closure that is trivially copyable, at most two
+// pointers wide and pointer-aligned — `[this]`, `[this, node]`, a
+// function pointer — is stored in place; any other closure is boxed on
+// the heap, as std::function boxed it too. Either way the heap's Event is
+// trivially copyable, so its sifts move plain bytes and the body runs
+// through one indirect call. The scheduler releases each body
+// exactly once: after it runs (or throws), when its tombstone is dropped,
+// in reset() and in ~Scheduler.
+//
+// A self-rescheduling std::function should not be passed by name: that
+// boxes a copy of it on every schedule. Schedule a pointer to it instead,
+// which is stored in place:
+//   std::function<void()> tick = [&] {
+//     ...
+//     sim.schedule_in(period, [f = &tick] { (*f)(); });
+//   };
 //
 // Memory: the settled bits grow by one bit per scheduled event until
 // reset() — about 250 KB at serve's 2M-event `busy-loop` budget. reset()
@@ -21,14 +38,87 @@
 // scheduler per run.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "avsec/core/sync.hpp"
 #include "avsec/core/time.hpp"
 
 namespace avsec::core {
+
+namespace detail {
+
+/// A released event body: trivially copyable, so the heap moves it as
+/// bytes. `ops` is null once released; whoever holds a live Thunk calls
+/// release() exactly once.
+struct Thunk {
+  struct Ops {
+    void (*invoke)(void* body);
+    void (*destroy)(void* body);  // nullptr: nothing to release
+  };
+  static constexpr std::size_t kInPlaceBytes = 2 * sizeof(void*);
+
+  const Ops* ops = nullptr;
+  alignas(void*) unsigned char body[kInPlaceBytes] = {};
+
+  void invoke() { ops->invoke(body); }
+  void release() {
+    if (ops != nullptr && ops->destroy != nullptr) ops->destroy(body);
+    ops = nullptr;
+  }
+};
+
+template <class F>
+struct InPlace {
+  static void invoke(void* body) { (*std::launder(static_cast<F*>(body)))(); }
+  static constexpr Thunk::Ops kOps{&invoke, nullptr};
+};
+
+template <class F>
+struct Boxed {
+  static F* box(void* body) { return *std::launder(static_cast<F**>(body)); }
+  static void invoke(void* body) { (*box(body))(); }
+  static void destroy(void* body) { delete box(body); }
+  static constexpr Thunk::Ops kOps{&invoke, &destroy};
+};
+
+}  // namespace detail
+
+/// Move-only event body: any callable with no arguments (its result is
+/// discarded). Stored in place when trivially copyable and at most two
+/// pointers wide and pointer-aligned, boxed on the heap otherwise (see the
+/// file comment).
+class Callback {
+ public:
+  template <class F, class Fn = std::decay_t<F>,
+            class = std::enable_if_t<!std::is_same_v<Fn, Callback> &&
+                                     std::is_invocable_v<Fn&>>>
+  Callback(F&& f) {
+    if constexpr (std::is_trivially_copyable_v<Fn> &&
+                  sizeof(Fn) <= detail::Thunk::kInPlaceBytes &&
+                  alignof(Fn) <= alignof(void*)) {
+      ::new (static_cast<void*>(thunk_.body)) Fn(std::forward<F>(f));
+      thunk_.ops = &detail::InPlace<Fn>::kOps;
+    } else {
+      ::new (static_cast<void*>(thunk_.body)) Fn*(new Fn(std::forward<F>(f)));
+      thunk_.ops = &detail::Boxed<Fn>::kOps;
+    }
+  }
+  Callback(Callback&& other) noexcept : thunk_(other.thunk_) {
+    other.thunk_.ops = nullptr;
+  }
+  ~Callback() { thunk_.release(); }
+
+ private:
+  friend class Scheduler;
+  /// Adopts a released body (the scheduler's dispatch path).
+  explicit Callback(detail::Thunk thunk) : thunk_(thunk) {}
+  detail::Thunk thunk_;
+};
 
 /// Handle to a scheduled event, usable for cancellation. A handle belongs
 /// to one run: reset() restarts ids, so do not keep handles across it.
@@ -60,7 +150,11 @@ class EventHandle {
 /// thread, which is the build-on-one-thread / run-on-another handoff.
 class Scheduler {
  public:
-  using Callback = std::function<void()>;
+  Scheduler() = default;
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
+  /// Releases every pending body, cancelled ones included.
+  ~Scheduler() { release_pending(); }
 
   /// Telemetry tap on event dispatch (implemented by avsec::obs — core
   /// cannot depend on obs, so the scheduler only sees this interface).
@@ -97,7 +191,7 @@ class Scheduler {
   }
 
   /// Cancels a pending event. Returns false if it already ran or was
-  /// cancelled. The callback is dropped lazily when popped; repeated
+  /// cancelled. The body is released lazily when popped; repeated
   /// cancellation of the same handle is a counted-once no-op.
   bool cancel(EventHandle h);
 
@@ -115,15 +209,20 @@ class Scheduler {
 
   /// Restores the exact freshly-constructed state: queue emptied, clock,
   /// ids and counters rewound, observer removed, affinity rebound to the
-  /// calling thread. The vectors keep their capacity.
+  /// calling thread. Pending bodies are released; the vectors keep their
+  /// capacity.
   void reset();
 
  private:
+  /// 40 bytes on 64-bit hosts. The heap owns `body` until the event is
+  /// dispatched or its tombstone dropped.
   struct Event {
     SimTime time = 0;
     std::uint64_t id = 0;  // 1, 2, 3, ... in scheduling order
-    Callback cb;
+    detail::Thunk body;
   };
+  static_assert(std::is_trivially_copyable_v<Event>,
+                "heap sifts must move events as plain bytes");
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
@@ -134,6 +233,8 @@ class Scheduler {
   bool pop_one();
   /// Drops cancelled events from the front of the heap.
   void drop_cancelled_front();
+  /// Releases the body of every event still in the heap.
+  void release_pending();
 
   ThreadAffinity affinity_;  // single-thread confinement (see class docs)
   DispatchObserver* observer_ = nullptr;

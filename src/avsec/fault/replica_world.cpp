@@ -95,9 +95,11 @@ Metrics ReplicaWorld::run(const FaultPlan& plan) {
     for (auto& p : ports_) {
       p.publish(kTruth + rng_.normal(0.0, 0.05), sim_.now());
     }
-    if (sim_.now() < kRunEnd) sim_.schedule_in(kTick, publish);
+    if (sim_.now() < kRunEnd) {
+      sim_.schedule_in(kTick, [f = &publish] { (*f)(); });
+    }
   };
-  sim_.schedule_at(0, publish);
+  sim_.schedule_at(0, [f = &publish] { (*f)(); });
 
   double max_fused_err = 0.0;
   std::uint64_t quorum_losses = 0;
@@ -109,9 +111,11 @@ Metrics ReplicaWorld::run(const FaultPlan& plan) {
     } else {
       ++quorum_losses;
     }
-    if (sim_.now() < kRunEnd) sim_.schedule_in(kTick, vote);
+    if (sim_.now() < kRunEnd) {
+      sim_.schedule_in(kTick, [f = &vote] { (*f)(); });
+    }
   };
-  sim_.schedule_at(core::milliseconds(35), vote);
+  sim_.schedule_at(core::milliseconds(35), [f = &vote] { (*f)(); });
 
   injector_.arm(plan);
   // The monitor and supervisor ticks reschedule themselves; stopping them

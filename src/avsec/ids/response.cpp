@@ -449,9 +449,9 @@ FloodExperimentResult run_flood_experiment(const FloodExperimentConfig& config) 
       f.payload = core::Bytes(8, 0xEE);
       bus.send(attacker, std::move(f));
     }
-    sim.schedule_in(core::microseconds(50), flood);
+    sim.schedule_in(core::microseconds(50), [f = &flood] { (*f)(); });
   };
-  sim.schedule_at(t_attack_start, flood);
+  sim.schedule_at(t_attack_start, [f = &flood] { (*f)(); });
 
   sim.run_until(t_end);
 

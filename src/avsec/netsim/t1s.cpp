@@ -65,9 +65,10 @@ core::SimTime T1sBus::next_to(std::size_t node, core::SimTime t) const {
   // Idle TOs from the holder's on: one TO per node, plus the beacon when
   // the count wraps to node 0.
   const std::size_t n = nodes_.size();
-  const auto hops = static_cast<core::SimTime>((node + n - holder_) % n);
-  core::SimTime at =
-      to_start_ + hops * to_time_ + (node < holder_ ? beacon_time_ : 0);
+  const bool wraps = node < holder_;
+  const auto hops =
+      static_cast<core::SimTime>(wraps ? node + n - holder_ : node - holder_);
+  core::SimTime at = to_start_ + hops * to_time_ + (wraps ? beacon_time_ : 0);
   if (at < t) {
     const core::SimTime round =
         static_cast<core::SimTime>(n) * to_time_ + beacon_time_;
@@ -89,12 +90,13 @@ void T1sBus::arm(std::size_t node, core::SimTime at) {
 void T1sBus::arm_first_queued() {
   // TOs come in node order from the holder's, so the first node with a
   // frame has the earliest one.
+  std::size_t node = holder_;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const std::size_t node = (holder_ + i) % nodes_.size();
     if (!nodes_[node].queue.empty()) {
       arm(node, next_to(node, to_start_));
       return;
     }
+    if (++node == nodes_.size()) node = 0;
   }
 }
 
@@ -121,7 +123,7 @@ void T1sBus::transmit(std::size_t node) {
   sim_.schedule_in(duration, [this] { deliver(); });
 
   // The next TO starts when the frame ends, after the beacon on a wrap.
-  holder_ = (node + 1) % nodes_.size();
+  holder_ = node + 1 == nodes_.size() ? 0 : node + 1;
   to_start_ = sim_.now() + duration + (holder_ == 0 ? beacon_time_ : 0);
   arm_first_queued();
 }

@@ -30,7 +30,6 @@ const char* phase_name(Phase p) {
 
 TraceRecorder::TraceRecorder(std::size_t capacity)
     : capacity_(std::max<std::size_t>(capacity, 1)) {
-  ring_.reserve(capacity_);
   tracks_.push_back("main");
   depth_.push_back(0);
 }
@@ -55,6 +54,7 @@ void TraceRecorder::push(const TraceEvent& ev) {
   if (slot < ring_.size()) {
     ring_[slot] = ev;
   } else {
+    if (ring_.empty()) ring_.reserve(capacity_);
     ring_.push_back(ev);
   }
   ++recorded_;

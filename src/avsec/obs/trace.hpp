@@ -82,9 +82,9 @@ static_assert(std::is_trivially_copyable_v<TraceEvent>,
 /// When the ring is full the oldest events are overwritten (and counted
 /// in dropped()), so a recorder bounds memory no matter how long a run is
 /// while always retaining the newest — i.e. most forensic — window. The
-/// ring's storage is reserved up front but filled only as events arrive:
-/// a pooled context that never traces holds address space, not 1 MiB of
-/// resident memory.
+/// ring's storage is reserved at the first event, not at construction:
+/// campaign sweeps build a context per worker on every call, and one that
+/// never traces then allocates none of it.
 class TraceRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 14;

@@ -24,8 +24,10 @@ fault::Metrics run_busy_loop(fault::SimContext& ctx, std::uint64_t /*seed*/,
                              Scale /*scale*/) {
   core::Scheduler& sim = ctx.sim();
   fault::supervise(sim);
-  std::function<void()> spin = [&] { sim.schedule_in(core::microseconds(1), spin); };
-  sim.schedule_at(0, spin);
+  std::function<void()> spin = [&] {
+    sim.schedule_in(core::microseconds(1), [f = &spin] { (*f)(); });
+  };
+  sim.schedule_at(0, [f = &spin] { (*f)(); });
   sim.run_until(core::seconds(30));
   fault::Metrics m;
   m["events"] = static_cast<double>(sim.dispatched());

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -343,6 +345,53 @@ TEST(Scheduler, ResetRestoresFreshObservableState) {
   EXPECT_EQ(sim.dispatched(), 0u);
   EXPECT_EQ(sim.pending(), 0u);
   EXPECT_EQ(sim.dispatch_observer(), nullptr);
+}
+
+TEST(Scheduler, BoxedBodiesAreReleasedExactlyOnce) {
+  // Each body holds a copy of `token`, which makes it boxed (a
+  // shared_ptr is not trivially copyable). A body that is never released
+  // leaves the use count above 1; one released twice frees its box twice,
+  // which the sanitizer builds report.
+  const auto token = std::make_shared<int>(0);
+
+  {  // dispatched
+    Scheduler sim;
+    sim.schedule_at(10, [token] {});
+    EXPECT_EQ(token.use_count(), 2);
+    sim.run();
+    EXPECT_EQ(token.use_count(), 1);
+  }
+  {  // cancelled: released when the tombstone is dropped, not before
+    Scheduler sim;
+    sim.cancel(sim.schedule_at(10, [token] {}));
+    sim.schedule_at(20, [] {});
+    EXPECT_EQ(token.use_count(), 2);
+    sim.run();
+    EXPECT_EQ(token.use_count(), 1);
+  }
+  {  // pending and cancelled bodies at reset()
+    Scheduler sim;
+    sim.schedule_at(10, [token] {});
+    sim.cancel(sim.schedule_at(20, [token] {}));
+    EXPECT_EQ(token.use_count(), 3);
+    sim.reset();
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(sim.run(), 0u);
+  }
+  {  // pending and cancelled bodies at destruction
+    Scheduler sim;
+    sim.schedule_at(10, [token] {});
+    sim.cancel(sim.schedule_at(20, [token] {}));
+    EXPECT_EQ(token.use_count(), 3);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  {  // a body that throws
+    Scheduler sim;
+    sim.schedule_at(10, [token] { throw std::runtime_error("body"); });
+    EXPECT_THROW(sim.run(), std::runtime_error);
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(sim.pending(), 0u);
+  }
 }
 
 TEST(Time, BitTimeRoundsToNearestPicosecond) {

@@ -1,6 +1,9 @@
-// Allocation count of the 10BASE-T1S frame path. This binary replaces the
-// global operator new with a counting one, so it is kept apart from
-// netsim_tests: no other test runs under the replacement.
+// Allocation counts of the event core and the 10BASE-T1S frame path. This
+// binary replaces the global operator new with a counting one, so it is
+// kept apart from netsim_tests: no other test runs under the replacement.
+//
+// A warmed core::Scheduler dispatches in-place event bodies without
+// allocating, and boxes any other body with exactly one allocation.
 //
 // Once its queues have grown, T1sBus must carry a frame moved into send()
 // to every receiver without allocating: the frame on the wire lives in the
@@ -36,6 +39,49 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace avsec::netsim {
 namespace {
 
+/// A scheduler whose heap and settled-id bits have grown well past what
+/// the tests below use; reset() keeps the capacity.
+void warm(core::Scheduler& sim) {
+  for (int k = 0; k < 16 * 1024; ++k) sim.schedule_at(0, [] {});
+  sim.run();
+  sim.reset();
+}
+
+TEST(SchedulerAllocation, InPlaceBodiesNeverAllocateAndBoxedOnesOnce) {
+  core::Scheduler sim;
+  warm(sim);
+
+  // 10k self-rescheduling one-pointer closures: stored in the event.
+  struct Ticker {
+    core::Scheduler& sim;
+    int left;
+    void tick() {
+      if (--left > 0) sim.schedule_in(1, [p = this] { p->tick(); });
+    }
+  };
+  Ticker ticker{sim, 10'000};
+  std::uint64_t before = g_allocations.load();
+  sim.schedule_at(0, [p = &ticker] { p->tick(); });
+  sim.run();
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(sim.dispatched(), 10'000u);
+
+  // Three pointers are one too many for in-place storage: one box each.
+  sim.reset();
+  int fired = 0;
+  int* a = &fired;
+  int* b = &fired;
+  int* c = &fired;
+  before = g_allocations.load();
+  for (int k = 0; k < 1000; ++k) {
+    sim.schedule_at(k, [a, b, c] { *a += (b == c) ? 1 : 0; });
+  }
+  EXPECT_EQ(g_allocations.load() - before, 1000u);
+  sim.run();
+  EXPECT_EQ(g_allocations.load() - before, 1000u);
+  EXPECT_EQ(fired, 1000);
+}
+
 constexpr int kNodes = 4;
 
 std::vector<EthFrame> frames(std::size_t count) {
@@ -62,11 +108,7 @@ std::uint64_t carry(core::Scheduler& sim, T1sBus& bus,
 TEST(T1sAllocation, DeliveryDoesNotAllocatePerFrame) {
   constexpr std::size_t kFrames = 256;
   core::Scheduler sim;
-  // Grow the scheduler's heap and settled-id bits well past what the
-  // bus uses below; reset() keeps the capacity.
-  for (int k = 0; k < 16 * 1024; ++k) sim.schedule_at(0, [] {});
-  sim.run();
-  sim.reset();
+  warm(sim);
 
   T1sBus bus(sim, {});
   std::uint64_t bytes_seen = 0;
