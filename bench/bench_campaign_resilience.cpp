@@ -1,12 +1,13 @@
 // FAULT — cost of campaign resilience on a healthy sweep, where the
 // machinery must be close to free:
-//   - supervision overhead: the same serial sweep with the run attaching
-//     the RunGuard (fault::supervise) so it counts every dispatch against
-//     an armed event budget, vs the run leaving it unattached.  Every
-//     sweep is supervised, so the unattached arm is the floor the guard
-//     adds to; the overhead is the median difference of interleaved
-//     pairs.  Gate (CI): < 3% wall-clock overhead, or < 5 ns per
-//     dispatched event (noise floor on shared runners);
+//   - supervision overhead: the same serial sweep with the run on the
+//     context's scheduler, where the sweep's guard checks every dispatch
+//     against an armed event budget, vs the run on a scheduler of its own
+//     that no guard watches.  Every sweep is supervised, so the second arm
+//     is the floor the guard adds to; the overhead is the median
+//     difference of interleaved pairs.  Gate (CI): < 3% wall-clock
+//     overhead, or < 5 ns per dispatched event (noise floor on shared
+//     runners);
 //   - journaling cost: the guarded sweep also appending one
 //     CRC-sealed manifest line per run (reported, not gated);
 //   - resume cost: Campaign::resume() against manifests truncated to
@@ -37,11 +38,8 @@ std::uint64_t g_events_per_run = 2000;
 
 // A healthy seed-deterministic scenario: every run dispatches exactly
 // g_events_per_run scheduler events, so supervision cost is measurable
-// per event dispatched. `guarded` attaches the sweep's RunGuard.
-fault::Metrics ticks(fault::SimContext& ctx, std::uint64_t seed,
-                     bool guarded) {
-  core::Scheduler& sim = ctx.sim();
-  if (guarded) fault::supervise(sim);
+// per event dispatched.
+fault::Metrics ticks(core::Scheduler& sim, std::uint64_t seed) {
   core::Rng rng(seed);
   double level = 0.0;
   std::uint64_t events = 0;
@@ -59,13 +57,19 @@ fault::Metrics ticks(fault::SimContext& ctx, std::uint64_t seed,
   return m;
 }
 
+// On the context's scheduler, which the sweep's guard watches.
 fault::Metrics scenario(fault::SimContext& ctx, std::uint64_t seed) {
-  return ticks(ctx, seed, true);
+  return ticks(ctx.sim(), seed);
 }
 
-fault::Metrics scenario_unguarded(fault::SimContext& ctx,
+// The same ticks on a warm scheduler no guard is attached to, reset per
+// run as the context's is. One for the process is safe: the sweeps here
+// are serial.
+fault::Metrics scenario_unguarded(fault::SimContext& /*ctx*/,
                                   std::uint64_t seed) {
-  return ticks(ctx, seed, false);
+  static core::Scheduler floor;
+  floor.reset();
+  return ticks(floor, seed);
 }
 
 fault::CampaignConfig base_config(std::size_t runs) {

@@ -26,10 +26,6 @@ namespace {
 // simulate, measure.
 fault::Metrics run_scenario(fault::SimContext& ctx, std::uint64_t seed) {
   core::Scheduler& sim = ctx.sim();
-  // Opt in to campaign supervision: inside a sweep this chains the run's
-  // event budget / deadline guard onto the scheduler; standalone
-  // (replay, tracing) it is a no-op.
-  fault::supervise(sim);
 
   // --- zonal CAN segment: sensor feed + a latent babbling idiot ---
   netsim::CanBus bus(sim, {});

@@ -156,25 +156,21 @@ class Scheduler {
   /// Releases every pending body, cancelled ones included.
   ~Scheduler() { release_pending(); }
 
-  /// Telemetry tap on event dispatch (implemented by avsec::obs — core
-  /// cannot depend on obs, so the scheduler only sees this interface).
-  /// on_dispatch fires immediately before each event body executes, so
-  /// trace events emitted inside the body appear after the dispatch mark.
+  /// Tap on event dispatch, implemented by the run supervisor
+  /// (fault::run_supervised; core cannot depend on fault, so the scheduler
+  /// only sees this interface). on_dispatch fires immediately before each
+  /// event body executes, with `dispatched` already counting that event;
+  /// a throw from it aborts the run before the body runs.
   class DispatchObserver {
    public:
     virtual ~DispatchObserver() = default;
     virtual void on_dispatch(SimTime now, std::uint64_t dispatched) = 0;
   };
 
-  /// Installs (or, with nullptr, removes) the dispatch observer.
+  /// Installs (or, with nullptr, removes) the one dispatch observer.
   void set_dispatch_observer(DispatchObserver* observer) {
     observer_ = observer;
   }
-
-  /// Currently installed dispatch observer (nullptr when none). Observers
-  /// that want to stack — e.g. a run-supervision guard over a tracer —
-  /// read the current one and forward to it from their own on_dispatch.
-  DispatchObserver* dispatch_observer() const { return observer_; }
 
   /// Total events executed since construction or the last reset().
   std::uint64_t dispatched() const { return dispatched_; }

@@ -353,13 +353,6 @@ std::uint64_t Campaign::seed_for_run(std::size_t i) const {
   return seed;
 }
 
-std::vector<std::string> Campaign::invariant_names() const {
-  std::vector<std::string> names;
-  names.reserve(invariants_.size());
-  for (const auto& [name, check] : invariants_) names.push_back(name);
-  return names;
-}
-
 CampaignReport Campaign::sweep(const CtxRunFn& run) const {
   return sweep_impl(config_, invariants_, run);
 }

@@ -155,9 +155,6 @@ class Campaign {
   std::uint64_t seed_for_run(std::size_t i) const;
 
   const CampaignConfig& config() const { return config_; }
-  /// Invariant names in registration order (the manifest header records
-  /// them so resume can refuse a mismatched campaign).
-  std::vector<std::string> invariant_names() const;
 
  private:
   CampaignConfig config_;

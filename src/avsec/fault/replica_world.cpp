@@ -90,7 +90,6 @@ FaultPlan ReplicaWorld::chaos_plan() {
 }
 
 Metrics ReplicaWorld::run(const FaultPlan& plan) {
-  supervise(sim_);
   std::function<void()> publish = [&] {
     for (auto& p : ports_) {
       p.publish(kTruth + rng_.normal(0.0, 0.05), sim_.now());

@@ -49,10 +49,9 @@ class ReplicaWorld {
   FaultPlan chaos_plan();
 
   /// Runs the world once for 2 s under `plan`: publishes and votes every
-  /// 10 ms, chains the ambient campaign guard onto the scheduler
-  /// (fault::supervise) and returns max_fused_err, quorum_losses,
-  /// nominal_at_end, safe_stop, recoveries, escalations, faults_applied
-  /// and suspect_incidents. Call it once per world.
+  /// 10 ms and returns max_fused_err, quorum_losses, nominal_at_end,
+  /// safe_stop, recoveries, escalations, faults_applied and
+  /// suspect_incidents. Call it once per world.
   Metrics run(const FaultPlan& plan);
 
   const health::SafetySupervisor& supervisor() const { return supervisor_; }

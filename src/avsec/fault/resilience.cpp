@@ -6,6 +6,7 @@
 #include <string>
 #include <thread>
 
+#include "avsec/core/scheduler.hpp"
 #include "avsec/obs/trace.hpp"
 
 namespace avsec::fault {
@@ -30,7 +31,64 @@ constexpr std::uint64_t kWallPollStride = 512;
 // Hard cap on the wall-clock sleep between attempts of a failing run.
 constexpr std::int64_t kMaxBackoffNs = 250'000'000;
 
-thread_local RunGuard* tl_guard = nullptr;
+// Supervises one attempt: checks the scheduler's own dispatch count
+// against the event budget and polls the wall clock against the deadline,
+// throwing RunAborted out of the dispatch when either trips. It is the
+// scheduler's dispatch observer for exactly its own lifetime, so no
+// scheduler is left pointing at a finished attempt's guard.
+class RunGuard final : public core::Scheduler::DispatchObserver {
+ public:
+  RunGuard(const SupervisionConfig& config, core::Scheduler& sim)
+      : config_(config), sim_(sim) {
+    if (config_.wall_deadline_ms > 0) {
+      wall_deadline_ns_ = wall_now_ns() + config_.wall_deadline_ms * 1'000'000;
+    }
+    arm(0);
+    sim_.set_dispatch_observer(this);
+  }
+  ~RunGuard() override { sim_.set_dispatch_observer(nullptr); }
+  RunGuard(const RunGuard&) = delete;
+  RunGuard& operator=(const RunGuard&) = delete;
+
+  // The hot path is one compare against a pre-armed threshold.
+  void on_dispatch(core::SimTime /*now*/, std::uint64_t dispatched) override {
+    if (dispatched >= next_check_) check(dispatched);
+  }
+
+ private:
+  // Budget / deadline checks for dispatch `n`, then re-arm.
+  void check(std::uint64_t n) {
+    if (config_.max_events != 0 && n > config_.max_events) {
+      throw RunAborted(RunStatus::kBudgetExhausted,
+                       "sim event budget exhausted after " +
+                           std::to_string(config_.max_events) + " dispatches");
+    }
+    if (wall_deadline_ns_ != 0 && n % kWallPollStride == 0 &&
+        wall_now_ns() > wall_deadline_ns_) {
+      throw RunAborted(RunStatus::kTimedOut,
+                       "wall-clock deadline (" +
+                           std::to_string(config_.wall_deadline_ms) +
+                           " ms) exceeded");
+    }
+    arm(n);
+  }
+
+  // The first dispatch after `n` that needs a check: the earlier of the
+  // budget trip and the next wall-clock poll.
+  void arm(std::uint64_t n) {
+    next_check_ = UINT64_MAX;
+    if (config_.max_events != 0) next_check_ = config_.max_events + 1;
+    if (wall_deadline_ns_ != 0) {
+      const std::uint64_t poll = (n / kWallPollStride + 1) * kWallPollStride;
+      if (poll < next_check_) next_check_ = poll;
+    }
+  }
+
+  const SupervisionConfig& config_;
+  core::Scheduler& sim_;
+  std::uint64_t next_check_ = 0;
+  std::int64_t wall_deadline_ns_ = 0;  // absolute steady-clock ns; 0 = none
+};
 
 }  // namespace
 
@@ -57,63 +115,6 @@ bool parse_run_status(std::string_view name, RunStatus& out) {
   return false;
 }
 
-RunGuard::RunGuard(const SupervisionConfig& config) : config_(config) {
-  if (config_.wall_deadline_ms > 0) {
-    wall_deadline_ns_ = wall_now_ns() + config_.wall_deadline_ms * 1'000'000;
-  }
-  next_check_ = UINT64_MAX;
-  if (config_.max_events != 0) next_check_ = config_.max_events + 1;
-  if (wall_deadline_ns_ != 0 && kWallPollStride < next_check_) {
-    next_check_ = kWallPollStride;
-  }
-}
-
-void RunGuard::attach(core::Scheduler& sim) {
-  if (sim.dispatch_observer() == this) return;  // already attached
-  next_ = sim.dispatch_observer();
-  sim.set_dispatch_observer(this);
-}
-
-void RunGuard::on_dispatch(core::SimTime now, std::uint64_t dispatched) {
-  const std::uint64_t n = ++events_;
-  if (n >= next_check_) slow_check(n);
-  if (next_ != nullptr) next_->on_dispatch(now, dispatched);
-}
-
-void RunGuard::slow_check(std::uint64_t n) {
-  if (config_.max_events != 0 && n > config_.max_events) {
-    throw RunAborted(RunStatus::kBudgetExhausted,
-                     "sim event budget exhausted after " +
-                         std::to_string(config_.max_events) + " dispatches");
-  }
-  if (wall_deadline_ns_ != 0 && n % kWallPollStride == 0 &&
-      wall_now_ns() > wall_deadline_ns_) {
-    throw RunAborted(RunStatus::kTimedOut,
-                     "wall-clock deadline (" +
-                         std::to_string(config_.wall_deadline_ms) +
-                         " ms) exceeded");
-  }
-  // Re-arm: the earlier of the budget trip and the next wall-clock poll.
-  next_check_ = UINT64_MAX;
-  if (config_.max_events != 0) next_check_ = config_.max_events + 1;
-  if (wall_deadline_ns_ != 0) {
-    const std::uint64_t poll = (n / kWallPollStride + 1) * kWallPollStride;
-    if (poll < next_check_) next_check_ = poll;
-  }
-}
-
-RunGuard* current_guard() { return tl_guard; }
-
-RunGuard* install_guard(RunGuard* g) {
-  RunGuard* prev = tl_guard;
-  tl_guard = g;
-  return prev;
-}
-
-void supervise(core::Scheduler& sim) {
-  if (tl_guard != nullptr) tl_guard->attach(sim);
-}
-
 SupervisedRun run_supervised(const SupervisionConfig& sup, SimContext& ctx,
                              bool trace,
                              const std::function<Metrics(SimContext&)>& run) {
@@ -122,11 +123,10 @@ SupervisedRun run_supervised(const SupervisionConfig& sup, SimContext& ctx,
   for (int attempt = 0;; ++attempt) {
     r.attempts = static_cast<std::uint32_t>(attempt + 1);
     try {
-      RunGuard guard(sup);
-      GuardScope scope(guard);  // the scenario's supervise(sim) finds it
       // Every attempt, retries included, starts from the reset-determinism
       // baseline: scheduler rewound, recorder emptied.
       ctx.reset();
+      RunGuard guard(sup, ctx.sim());
       if (trace) {
         obs::TraceScope ts(ctx.recorder());
         r.metrics = run(ctx);

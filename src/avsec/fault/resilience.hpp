@@ -4,20 +4,18 @@
 //
 // Campaign sweeps and serve requests treat every scenario run as an
 // untrusted unit of work, and both execute it through run_supervised(),
-// the one retry loop: a RunGuard wraps each attempt with a sim-time event
-// budget (a wedged scheduler loop becomes a structured outcome, not a hung
-// sweep) and an optional wall-clock deadline, exceptions become crash-
-// family statuses instead of aborting the caller, transiently-failing runs
-// are retried on a core::RetryPolicy backoff schedule, and seeds that fail
+// the one retry loop: each attempt runs under a sim-time event budget (a
+// wedged scheduler loop becomes a structured outcome, not a hung sweep)
+// and an optional wall-clock deadline, exceptions become crash-family
+// statuses instead of aborting the caller, transiently-failing runs are
+// retried on a core::RetryPolicy backoff schedule, and seeds that fail
 // every allowed attempt are quarantined — enumerated in the report, never
 // silently dropped.
 //
-// The guard reaches the scenario's private Scheduler through the same
-// ambient-install idiom as obs::TraceScope: run_supervised() installs the
-// guard thread-locally around each attempt, and the scenario opts in with
-// one line — fault::supervise(sim) — after building its scheduler. The
-// guard stacks on top of whatever DispatchObserver is already installed
-// (e.g. an obs::SchedulerTracer), so supervision and tracing compose.
+// Every run executes on its context's scheduler, ctx.sim(), so the
+// supervisor attaches there itself: a scenario cannot opt out of it and
+// needs no call to opt in. A scenario that builds a scheduler of its own
+// is unsupervised on that scheduler, as it is outside a sweep.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +26,6 @@
 #include <string_view>
 
 #include "avsec/core/retry.hpp"
-#include "avsec/core/scheduler.hpp"
 #include "avsec/fault/context.hpp"
 
 namespace avsec::fault {
@@ -83,7 +80,7 @@ struct SupervisionConfig {
                              /*max_retries=*/1};
 };
 
-/// Thrown out of the scenario by the guard when a budget trips.
+/// Thrown out of the scenario's scheduler when a budget trips.
 /// run_supervised() catches it and records the structured status;
 /// scenarios that swallow exceptions wholesale should let this one through.
 class RunAborted : public std::runtime_error {
@@ -96,68 +93,6 @@ class RunAborted : public std::runtime_error {
   RunStatus kind_;
 };
 
-/// Supervises one run attempt: counts scheduler dispatches against the
-/// event budget and polls the wall clock against the deadline, aborting
-/// the run with RunAborted when either trips. Stacks over the scheduler's
-/// existing dispatch observer so tracing keeps working underneath.
-class RunGuard : public core::Scheduler::DispatchObserver {
- public:
-  /// Captures the wall-clock start; `config` must outlive the guard.
-  explicit RunGuard(const SupervisionConfig& config);
-
-  /// Chains onto `sim`'s dispatch stream. May be called for several
-  /// schedulers in one run; the budget covers their combined dispatches.
-  /// The guard must outlive every scheduler it attaches to.
-  void attach(core::Scheduler& sim);
-
-  void on_dispatch(core::SimTime now, std::uint64_t dispatched) override;
-
-  /// Dispatches observed by this guard so far (across attached schedulers).
-  std::uint64_t events() const { return events_; }
-
- private:
-  /// Budget / deadline checks for dispatch `n`; re-arms next_check_.
-  void slow_check(std::uint64_t n);
-
-  const SupervisionConfig& config_;
-  core::Scheduler::DispatchObserver* next_ = nullptr;
-  std::uint64_t events_ = 0;
-  /// First dispatch count that needs a budget or wall-clock check; the
-  /// hot path is one increment and one compare against this.
-  std::uint64_t next_check_ = 0;
-  std::int64_t wall_deadline_ns_ = 0;  // absolute steady-clock ns; 0 = none
-};
-
-// --- ambient per-thread guard -------------------------------------------
-//
-// Mirrors the obs ambient-recorder idiom: run_supervised() installs the
-// guard around each attempt on the worker thread; the scenario's
-// supervise(sim) call attaches it to the world's scheduler without the run
-// signature changing.
-
-/// The guard supervising the current thread's run (nullptr = none).
-RunGuard* current_guard();
-
-/// Installs `g` as the ambient guard; returns the previous one.
-RunGuard* install_guard(RunGuard* g);
-
-/// RAII install/restore of the ambient guard around one run attempt.
-class GuardScope {
- public:
-  explicit GuardScope(RunGuard& g) : prev_(install_guard(&g)) {}
-  ~GuardScope() { install_guard(prev_); }
-  GuardScope(const GuardScope&) = delete;
-  GuardScope& operator=(const GuardScope&) = delete;
-
- private:
-  RunGuard* prev_;
-};
-
-/// Scenario opt-in: attaches the ambient RunGuard (if any) to `sim`.
-/// No-op outside a supervised run, so scenarios stay runnable standalone.
-/// Call it once per scheduler, after construction.
-void supervise(core::Scheduler& sim);
-
 /// How a supervised run ended.
 struct SupervisedRun {
   Metrics metrics;  // the completed attempt's; empty when quarantined
@@ -169,12 +104,13 @@ struct SupervisedRun {
 };
 
 /// The retry loop every campaign and serve run goes through. Each attempt
-/// resets `ctx`, installs a fresh RunGuard(sup) as the ambient guard and,
-/// with `trace`, ctx.recorder() as the ambient recorder, then calls
-/// run(ctx). A throw ends the attempt with a crash-family status; the loop
-/// sleeps the retry policy's backoff and tries again, up to
-/// retry.max_retries + 1 attempts. Never throws. After a completed
-/// attempt, ctx.recorder() holds that attempt's trace.
+/// resets `ctx`, installs the attempt's budget and deadline as ctx.sim()'s
+/// dispatch observer (removed again when the attempt ends) and, with
+/// `trace`, ctx.recorder() as the ambient recorder, then calls run(ctx).
+/// A throw ends the attempt with a crash-family status; the loop sleeps
+/// the retry policy's backoff and tries again, up to retry.max_retries + 1
+/// attempts. Never throws. After a completed attempt, ctx.recorder() holds
+/// that attempt's trace.
 SupervisedRun run_supervised(const SupervisionConfig& sup, SimContext& ctx,
                              bool trace,
                              const std::function<Metrics(SimContext&)>& run);

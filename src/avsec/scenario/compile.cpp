@@ -216,7 +216,6 @@ void build_plan(const ScenarioSpec& spec, std::uint64_t seed,
 
 fault::Metrics run_can_world(const ScenarioSpec& spec, core::Scheduler& sim,
                              std::uint64_t seed, core::SimTime end) {
-  fault::supervise(sim);
   AVSEC_METRIC_INC("scenario.runs", 1);
 
   const int n = spec.nodes;
@@ -417,7 +416,6 @@ fault::Metrics run_can_world(const ScenarioSpec& spec, core::Scheduler& sim,
 
 fault::Metrics run_t1s_world(const ScenarioSpec& spec, core::Scheduler& sim,
                              std::uint64_t seed, core::SimTime end) {
-  fault::supervise(sim);
   AVSEC_METRIC_INC("scenario.runs", 1);
   (void)seed;  // traffic and attacks are schedule-driven on this topology
 
@@ -585,7 +583,6 @@ fault::Metrics run_t1s_world(const ScenarioSpec& spec, core::Scheduler& sim,
 
 fault::Metrics run_link_world(const ScenarioSpec& spec, core::Scheduler& sim,
                               std::uint64_t seed, core::SimTime end) {
-  fault::supervise(sim);
   AVSEC_METRIC_INC("scenario.runs", 1);
 
   netsim::FlakyChannelConfig ccfg;
@@ -695,7 +692,6 @@ fault::Metrics run_link_world(const ScenarioSpec& spec, core::Scheduler& sim,
 fault::Metrics run_heartbeat_world(const ScenarioSpec& spec,
                                    core::Scheduler& sim, std::uint64_t seed,
                                    core::SimTime end) {
-  fault::supervise(sim);
   AVSEC_METRIC_INC("scenario.runs", 1);
 
   const int n = spec.nodes;

@@ -60,8 +60,8 @@ class CompiledScenario {
 
   /// Builds the world on `sim`, runs it to the (scale-dependent) horizon
   /// and returns the topology's full metric set. Pure function of
-  /// (seed, scale). Calls fault::supervise(sim), so campaign / server
-  /// budgets attach. Leaves pending events (e.g. the T1S beacon cycle) on
+  /// (seed, scale). Campaign and server runs pass ctx.sim(), where their
+  /// budgets already watch every dispatch. Leaves pending events (e.g. the T1S beacon cycle) on
   /// the scheduler — reset it (or discard it) before reusing.
   fault::Metrics run(core::Scheduler& sim, std::uint64_t seed,
                      serve::Scale scale = serve::Scale::kFull) const;

@@ -18,12 +18,11 @@ fault::Metrics run_poison_crash(fault::SimContext& /*ctx*/, std::uint64_t seed,
 }
 
 // Diagnostic: pumps scheduler events until something stops it — under the
-// server's RunGuard that is the sim-event budget (kBudgetExhausted);
+// server's supervision that is the sim-event budget (kBudgetExhausted);
 // standalone, the 30 s sim horizon bounds it.
 fault::Metrics run_busy_loop(fault::SimContext& ctx, std::uint64_t /*seed*/,
                              Scale /*scale*/) {
   core::Scheduler& sim = ctx.sim();
-  fault::supervise(sim);
   std::function<void()> spin = [&] {
     sim.schedule_in(core::microseconds(1), [f = &spin] { (*f)(); });
   };

@@ -5,7 +5,7 @@
 // added — plus the static metadata admission control needs: a per-seed
 // cost floor (so a deadline below it is rejected deterministically,
 // before any load estimate enters the picture) and a default sim-event
-// budget for the RunGuard.
+// budget per attempt.
 //
 // Every scenario takes a Scale: kFull is the real workload, kSmoke is the
 // reduced-horizon variant the load-shedding ladder degrades to under
@@ -37,8 +37,8 @@ struct Scenario {
   std::string description;
   /// Builds the world on ctx.sim() (the worker's warm context, freshly
   /// reset before every attempt), runs it, returns named metrics. Must be
-  /// safe to call concurrently (no shared mutable state) and should call
-  /// fault::supervise(sim) so the server's RunGuard budgets attach.
+  /// safe to call concurrently (no shared mutable state). The server's
+  /// budget and deadline watch every dispatch on ctx.sim().
   std::function<fault::Metrics(fault::SimContext& ctx, std::uint64_t seed,
                                Scale scale)>
       run_ctx;
@@ -47,7 +47,7 @@ struct Scenario {
   /// kInfeasible — a pure function of the request, so the decision is
   /// byte-identical regardless of load or worker count.
   double cost_hint_ms_per_seed = 1.0;
-  /// Default RunGuard sim-event budget per attempt (0 = unlimited).
+  /// Default sim-event budget per attempt (0 = unlimited).
   std::uint64_t default_max_events = 20'000'000;
 };
 

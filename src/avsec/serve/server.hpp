@@ -13,7 +13,7 @@
 //        |                     (bounded MPMC)          |      (ticket order)
 //        |                                             |
 //        +── immediate structured rejects              +── per-run
-//            (unknown / infeasible / overloaded)           RunGuard +
+//            (unknown / infeasible / overloaded)           budgets +
 //                                                          retry/quarantine
 //   supervisor thread: load ladder polls + a stalled-poll count per
 //   worker (wedged-worker replacement).
@@ -26,8 +26,8 @@
 //    rejected kInfeasible (deterministically); a deadline the current
 //    load estimate cannot meet is rejected kOverloaded; a request whose
 //    deadline expires while queued is answered kExpired without running;
-//    mid-run the remaining budget chains onto the scenario's scheduler as
-//    a fault::RunGuard wall deadline.
+//    mid-run the remaining budget is the attempt's wall deadline, checked
+//    on the scenario's scheduler (ctx.sim()) as it dispatches.
 //  - Poison quarantine: every seed runs through fault::run_supervised,
 //    the campaign's retry loop, on core::RetryPolicy backoff; a seed that
 //    fails every attempt yields a kQuarantined reply enumerating the
@@ -154,7 +154,7 @@ class Server {
     Scale scale = Scale::kFull;
     std::int64_t deadline_ms = 0;   // relative to admit_ns; 0 = none
     std::int64_t admit_ns = 0;      // wall clock at admission
-    std::uint64_t max_events = 0;   // RunGuard budget per attempt
+    std::uint64_t max_events = 0;   // sim-event budget per attempt
     std::vector<JobPart> parts;
   };
   struct WorkerSlot {

@@ -330,7 +330,13 @@ TEST(Scheduler, ReuseAfterResetIsBitIdentical) {
 }
 
 TEST(Scheduler, ResetRestoresFreshObservableState) {
+  struct Counter : Scheduler::DispatchObserver {
+    std::uint64_t seen = 0;
+    void on_dispatch(SimTime, std::uint64_t) override { ++seen; }
+  };
+  Counter counter;
   Scheduler sim;
+  sim.set_dispatch_observer(&counter);
   sim.schedule_at(10, [] {});
   auto h = sim.schedule_at(20, [] {});
   sim.cancel(h);
@@ -344,7 +350,12 @@ TEST(Scheduler, ResetRestoresFreshObservableState) {
   EXPECT_EQ(sim.now(), 0);
   EXPECT_EQ(sim.dispatched(), 0u);
   EXPECT_EQ(sim.pending(), 0u);
-  EXPECT_EQ(sim.dispatch_observer(), nullptr);
+  // reset() removes the observer: it sees no later dispatch.
+  const std::uint64_t seen = counter.seen;
+  EXPECT_EQ(seen, 1u);
+  sim.schedule_at(5, [] {});
+  sim.run();
+  EXPECT_EQ(counter.seen, seen);
 }
 
 TEST(Scheduler, BoxedBodiesAreReleasedExactlyOnce) {

@@ -45,7 +45,6 @@ void write_file(const std::string& path, const std::string& bytes) {
 // pooled-context scenarios are literally the same code: seed-dependent
 // metrics, occasional invariant violations, trace instrumentation.
 Metrics run_workload(core::Scheduler& sim, std::uint64_t seed) {
-  supervise(sim);
   core::Rng rng(seed);
   double level = 0.0;
   int spikes = 0;

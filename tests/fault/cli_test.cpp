@@ -44,7 +44,6 @@ std::vector<const char*> argv_of(const std::vector<std::string>& args) {
 // function of the seed, so invariants on it fail on a fixed seed subset.
 Metrics tiny_run(SimContext& ctx, std::uint64_t seed) {
   core::Scheduler& sim = ctx.sim();
-  supervise(sim);
   int ticks = 0;
   std::function<void()> tick = [&] {
     ++ticks;

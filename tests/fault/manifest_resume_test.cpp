@@ -43,7 +43,6 @@ void write_file(const std::string& path, const std::string& bytes) {
 // violations, and (under supervision) occasional crashes.
 Metrics scenario(SimContext& ctx, std::uint64_t seed) {
   core::Scheduler& sim = ctx.sim();
-  supervise(sim);
   core::Rng rng(seed);
   double level = 0.0;
   int spikes = 0;

@@ -19,7 +19,7 @@
 namespace avsec::fault {
 namespace {
 
-// A seed-deterministic scenario that opts in to supervision. Seeds
+// A seed-deterministic scenario on the supervised context. Seeds
 // divisible by kCrashMod throw; seeds divisible by kRunawayMod schedule
 // events forever (only a budget stops them).
 constexpr std::uint64_t kCrashMod = 5;
@@ -27,7 +27,6 @@ constexpr std::uint64_t kRunawayMod = 7;
 
 Metrics hazardous_scenario(SimContext& ctx, std::uint64_t seed) {
   core::Scheduler& sim = ctx.sim();
-  supervise(sim);
   if (seed % kCrashMod == 0) {
     throw std::runtime_error("seed " + std::to_string(seed) + " exploded");
   }
@@ -142,7 +141,6 @@ TEST(Resilience, WallDeadlineAbortsWedgedRun) {
   Campaign c(cfg);
   const auto report = c.sweep([](SimContext& ctx, std::uint64_t) -> Metrics {
     core::Scheduler& sim = ctx.sim();
-    supervise(sim);
     std::function<void()> forever = [&] {
       sim.schedule_in(core::microseconds(1), forever);
     };
@@ -189,42 +187,48 @@ TEST(Resilience, DefaultSweepQuarantinesThrowingRuns) {
   EXPECT_EQ(serial.quarantined_seeds().size(), crashed);
 }
 
-TEST(Resilience, SuperviseIsNoOpOutsideCampaign) {
-  // Standalone replay: no ambient guard, supervise() must not install one
-  // or perturb the scheduler.
-  core::Scheduler sim;
-  EXPECT_EQ(current_guard(), nullptr);
-  supervise(sim);
-  EXPECT_EQ(sim.dispatch_observer(), nullptr);
-  int fired = 0;
-  sim.schedule_at(0, [&] { ++fired; });
-  sim.run();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(Resilience, GuardStacksOverExistingObserverAndForwards) {
-  // A RunGuard attached over another observer must keep forwarding
-  // dispatches to it while enforcing its own budget.
-  struct Counter : core::Scheduler::DispatchObserver {
-    std::uint64_t seen = 0;
-    void on_dispatch(core::SimTime, std::uint64_t) override { ++seen; }
+TEST(Resilience, BudgetBindsRunsThatNeverNameSupervision) {
+  // The run only spins 1000 events on ctx.sim() and never mentions
+  // supervision: a budget of 100 binds it all the same.
+  const auto spin = [](SimContext& ctx, std::uint64_t) -> Metrics {
+    core::Scheduler& sim = ctx.sim();
+    std::function<void()> step = [&] {
+      if (sim.dispatched() < 1000) {
+        sim.schedule_in(core::microseconds(1), [f = &step] { (*f)(); });
+      }
+    };
+    sim.schedule_at(0, [f = &step] { (*f)(); });
+    sim.run();
+    return {{"events", static_cast<double>(sim.dispatched())}};
   };
-  core::Scheduler sim;
-  Counter under;
-  sim.set_dispatch_observer(&under);
+  CampaignConfig cfg = supervised_config(4, 2);
+  cfg.supervision.max_events = 100;
+  const auto report = Campaign(cfg).sweep(spin);
+  ASSERT_EQ(report.outcomes.size(), 4u);
+  for (const auto& o : report.outcomes) {
+    EXPECT_EQ(o.status, RunStatus::kBudgetExhausted) << o.seed;
+  }
 
+  // Once run_supervised returns, its guard is detached: the context's
+  // scheduler dispatches past the budget without a reset, and nothing
+  // throws or reads the finished attempt's guard.
   SupervisionConfig sup;
-  sup.max_events = 3;
-  RunGuard guard(sup);
-  guard.attach(sim);
-
-  std::function<void()> tick = [&] {
-    sim.schedule_in(core::microseconds(1), tick);
-  };
-  sim.schedule_at(0, tick);
-  EXPECT_THROW(sim.run(), RunAborted);
-  EXPECT_EQ(guard.events(), 4u);  // 4th dispatch tripped the budget of 3
-  EXPECT_EQ(under.seen, 3u);      // the throw happens before forwarding
+  sup.max_events = 100;
+  sup.retry.max_retries = 0;
+  SimContext ctx;
+  int ticks = 0;
+  const SupervisedRun r = run_supervised(sup, ctx, false, [&](SimContext& c) {
+    c.sim().schedule_at(0, [&ticks] { ++ticks; });
+    c.sim().run();
+    return Metrics{{"ticks", 1.0}};
+  });
+  EXPECT_EQ(r.status, RunStatus::kPassed);
+  for (int i = 0; i < 300; ++i) {
+    ctx.sim().schedule_in(core::microseconds(1), [&ticks] { ++ticks; });
+  }
+  EXPECT_NO_THROW(ctx.sim().run());
+  EXPECT_EQ(ticks, 301);
+  EXPECT_EQ(ctx.sim().dispatched(), 301u);
 }
 
 TEST(Resilience, RunAbortedCarriesKindAndMessage) {

@@ -18,11 +18,10 @@ namespace {
 
 // A miniature IVN: three ECUs on a noisy CAN bus, driven by a seeded
 // traffic generator. Every layer touched here is instrumented, so the
-// ambient recorder (installed by the campaign) fills with scheduler,
-// arbitration, and error-confinement events.
+// ambient recorder (installed by the campaign) fills with arbitration
+// and error-confinement events.
 Metrics ivn_scenario(SimContext& ctx, std::uint64_t seed) {
   core::Scheduler& sim = ctx.sim();
-  avsec::obs::SchedulerTracer tracer(sim, /*stride=*/64);
   netsim::CanBusConfig cfg;
   cfg.name = "can0";
   cfg.bit_error_rate = 5e-6;

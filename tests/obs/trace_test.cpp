@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "avsec/core/scheduler.hpp"
 #include "avsec/obs/obs.hpp"
 
 namespace avsec::obs {
@@ -170,23 +169,6 @@ TEST(TraceScope, SecondThreadInstallsAndReadsItsOwnRecorder) {
   EXPECT_EQ(theirs.recorded(), 1u);
   EXPECT_EQ(current(), &mine);
   EXPECT_EQ(mine.recorded(), 0u);
-}
-
-TEST(SchedulerTracer, SamplesDispatchCounter) {
-  TraceRecorder rec;
-  TraceScope scope(rec);
-  core::Scheduler sim;
-  SchedulerTracer tracer(sim, /*stride=*/2);
-  for (int i = 0; i < 6; ++i) {
-    sim.schedule_at(core::microseconds(i + 1), [] {});
-  }
-  sim.run();
-  EXPECT_EQ(sim.dispatched(), 6u);
-  std::size_t counters = 0;
-  for (const TraceEvent& ev : rec.chronological()) {
-    if (ev.phase == Phase::kCounter) ++counters;
-  }
-  EXPECT_EQ(counters, 3u);  // every 2nd of 6 dispatches
 }
 
 TEST(MetricsRegistry, CountersGaugesSeries) {

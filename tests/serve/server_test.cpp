@@ -161,7 +161,6 @@ TEST(ServerExecution, MidRunWallDeadlineChainsOntoRunGuard) {
   crawler.description = "events that burn wall time";
   crawler.run_ctx = [](fault::SimContext& ctx, std::uint64_t, Scale) {
     core::Scheduler& sim = ctx.sim();
-    fault::supervise(sim);
     std::function<void()> step = [&] {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
       sim.schedule_in(core::microseconds(10), step);
