@@ -362,7 +362,13 @@ bool ManifestWriter::open_fresh(const std::string& path,
   return fd_ >= 0;
 }
 
-bool ManifestWriter::open_append(const std::string& path) {
+bool ManifestWriter::open_append(const std::string& path,
+                                 const ManifestHeader& expected) {
+  // Re-read right before opening: a zero-byte file, a header-only file
+  // with the wrong identity, or a header swapped in since the caller last
+  // looked must all be refused rather than silently adopted.
+  const ManifestData data = read_manifest(path);
+  if (!data.header_ok || !(data.header == expected)) return false;
   close();
   const int fd = ::open(path.c_str(), O_RDWR | O_APPEND);
   if (fd < 0) return false;
@@ -384,16 +390,6 @@ bool ManifestWriter::open_append(const std::string& path) {
   fd_ = fd;
   unsynced_ = 0;
   return true;
-}
-
-bool ManifestWriter::open_append(const std::string& path,
-                                 const ManifestHeader& expected) {
-  // Re-read right before opening: a zero-byte file, a header-only file
-  // with the wrong identity, or a header swapped in since the caller last
-  // looked must all be refused rather than silently adopted.
-  const ManifestData data = read_manifest(path);
-  if (!data.header_ok || !(data.header == expected)) return false;
-  return open_append(path);
 }
 
 bool ManifestWriter::valid() const {

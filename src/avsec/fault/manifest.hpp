@@ -78,15 +78,12 @@ class ManifestWriter {
   /// failure (the writer is left invalid; appends become no-ops).
   bool open_fresh(const std::string& path, const ManifestHeader& header);
 
-  /// Opens `path` for appending run lines after resume() validated its
-  /// header. False on I/O failure.
-  bool open_append(const std::string& path);
-
-  /// Validated append: re-reads the manifest immediately before opening
-  /// and refuses (returns false, writer stays invalid, file untouched)
-  /// unless the on-disk header parses and equals `expected`. Appending to
-  /// a manifest whose header drifted between validation and open would
-  /// adopt another campaign's journal — this overload closes that window.
+  /// Opens `path` for appending run lines. Re-reads the manifest
+  /// immediately before opening and refuses (returns false, writer stays
+  /// invalid, file untouched) unless the on-disk header parses and equals
+  /// `expected`: appending to a manifest whose header drifted since it was
+  /// validated would adopt another campaign's journal. A torn final line
+  /// is newline-terminated first. False on I/O failure too.
   bool open_append(const std::string& path, const ManifestHeader& expected);
 
   bool valid() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "avsec/fault/fault.hpp"
@@ -86,9 +87,10 @@ const std::vector<std::string>& metric_names(Topology t) {
       "feed_up_at_end",   "frames_ok",       "frames_sent",
       "monitor_downs",    "monitor_recoveries", "worst_gap_ms"};
   static const std::vector<std::string> kT1s = {
-      "attack_accepted", "attack_frames",      "attack_rejected",
-      "frames_ok",       "frames_sent",        "monitor_downs",
-      "monitor_recoveries", "worst_gap_ms"};
+      "access_max_us",   "access_mean_us",     "attack_accepted",
+      "attack_frames",   "attack_rejected",    "frames_ok",
+      "frames_sent",     "monitor_downs",      "monitor_recoveries",
+      "worst_gap_ms"};
   static const std::vector<std::string> kLink = {
       "datagrams_delivered", "datagrams_dropped", "datagrams_sent",
       "faults_applied",      "handshakes",        "monitor_downs",
@@ -125,7 +127,9 @@ bool is_protocol_attack(AttackKind k) {
          k == AttackKind::kForge;
 }
 
-fault::FaultKind lower_fault_kind(AttackKind k) {
+/// The fault::FaultPlan kind `k` lowers onto; none for the kinds a world
+/// lowers itself.
+std::optional<fault::FaultKind> plan_kind(AttackKind k) {
   switch (k) {
     case AttackKind::kNodeCrash: return fault::FaultKind::kNodeCrash;
     case AttackKind::kBabblingIdiot: return fault::FaultKind::kBabblingIdiot;
@@ -133,26 +137,12 @@ fault::FaultKind lower_fault_kind(AttackKind k) {
     case AttackKind::kLinkCorrupt: return fault::FaultKind::kLinkCorrupt;
     case AttackKind::kLinkDelay: return fault::FaultKind::kLinkDelay;
     case AttackKind::kLinkPartition: return fault::FaultKind::kLinkPartition;
-    default: return fault::FaultKind::kNodeCrash;  // unreachable post-compile
-  }
-}
-
-/// True for kinds that lower onto fault::FaultPlan events.
-bool is_plan_kind(AttackKind k) {
-  switch (k) {
-    case AttackKind::kNodeCrash:
-    case AttackKind::kBabblingIdiot:
-    case AttackKind::kLinkDrop:
-    case AttackKind::kLinkCorrupt:
-    case AttackKind::kLinkDelay:
-    case AttackKind::kLinkPartition:
-      return true;
-    default:
-      return false;
+    default: return std::nullopt;
   }
 }
 
 struct MonitorTally {
+  std::uint64_t misses = 0;
   std::uint64_t downs = 0;
   std::uint64_t recoveries = 0;
 };
@@ -160,6 +150,7 @@ struct MonitorTally {
 MonitorTally tally(const health::HeartbeatMonitor& monitor) {
   MonitorTally t;
   for (const health::HeartbeatEvent& e : monitor.events()) {
+    t.misses += e.kind == health::HeartbeatEventKind::kMiss;
     t.downs += e.kind == health::HeartbeatEventKind::kDown;
     t.recoveries += e.kind == health::HeartbeatEventKind::kRecovered;
   }
@@ -181,10 +172,10 @@ void build_plan(const ScenarioSpec& spec, std::uint64_t seed,
                 const std::vector<std::string>& all_targets,
                 fault::FaultPlan& plan) {
   for (const AttackEntry& a : spec.attacks) {
-    if (!is_plan_kind(a.kind)) continue;
+    if (!plan_kind(a.kind)) continue;
     fault::FaultEvent ev;
     ev.at = a.at;
-    ev.kind = lower_fault_kind(a.kind);
+    ev.kind = *plan_kind(a.kind);
     ev.target = target_name(a.target);
     ev.duration = a.duration;
     ev.magnitude = a.magnitude;
@@ -198,7 +189,7 @@ void build_plan(const ScenarioSpec& spec, std::uint64_t seed,
     rnd.end = r.window_end;
     rnd.count = r.count;
     rnd.targets = all_targets;
-    for (const AttackKind k : r.kinds) rnd.kinds.push_back(lower_fault_kind(k));
+    for (const AttackKind k : r.kinds) rnd.kinds.push_back(*plan_kind(k));
     rnd.min_duration = r.min_duration;
     rnd.max_duration = r.max_duration;
     const fault::FaultPlan drawn =
@@ -208,92 +199,278 @@ void build_plan(const ScenarioSpec& spec, std::uint64_t seed,
   }
 }
 
-// --- the four worlds -----------------------------------------------------
+/// `spec.nodes` staggered periodic publishers: publisher i ticks at
+/// 137 µs·i, then every period before `end`, and calls send(i) on every
+/// tick outside its `mute` window. Each event body is {this, i}, stored in
+/// place, so no tick allocates; the object must outlive the run.
+template <class Send>
+struct Publishers {
+  Publishers(core::Scheduler& s, const ScenarioSpec& spec, core::SimTime e,
+             Send f)
+      : sim(s), period(spec.period), end(e), send(std::move(f)),
+        mutes(static_cast<std::size_t>(spec.nodes), {e + 1, e + 1}) {
+    for (const AttackEntry& a : spec.attacks) {
+      if (a.kind != AttackKind::kMute) continue;
+      mutes[static_cast<std::size_t>(a.target)] = {
+          a.at, a.duration > 0 ? a.at + a.duration : e + 1};
+    }
+    for (int i = 0; i < spec.nodes; ++i) {
+      sim.schedule_at(core::microseconds(137) * i, [this, i] { tick(i); });
+    }
+  }
+  Publishers(const Publishers&) = delete;  // events point at this object
+  void tick(int i) {
+    const auto& [from, until] = mutes[static_cast<std::size_t>(i)];
+    if (sim.now() < from || sim.now() >= until) send(i);
+    if (sim.now() + period < end) {
+      sim.schedule_in(period, [this, i] { tick(i); });
+    }
+  }
+  core::Scheduler& sim;
+  const core::SimTime period, end;
+  Send send;
+  std::vector<std::pair<core::SimTime, core::SimTime>> mutes;
+};
+
+// --- the worlds ----------------------------------------------------------
 //
 // Each builds on the caller's scheduler, runs to `end`, and returns the
 // topology's full metric set (every name in metric_names(), zeros where a
 // feature is off). Everything is a pure function of (spec, seed, end).
+//
+// CAN and 10BASE-T1S are one attacked segment, run_segment_world: node 0
+// of the publishers is the feed, an attacker taps the feed's latest frame
+// for replay/tamper/forge, and one receiver verifies every frame through
+// the stack. A Segment policy supplies only the bus, the stack, the
+// monitored sources and its extras; the template calls it directly, so
+// the per-frame paths dispatch statically.
 
-fault::Metrics run_can_world(const ScenarioSpec& spec, core::Scheduler& sim,
-                             std::uint64_t seed, core::SimTime end) {
-  AVSEC_METRIC_INC("scenario.runs", 1);
+struct CanSegment {
+  using Frame = netsim::CanFrame;
+  static constexpr const char* kReceiver = "gateway";
 
-  const int n = spec.nodes;
-  netsim::CanBusConfig bcfg;
-  bcfg.auto_bus_off_recovery = spec.defense.recovery;
-  netsim::CanBus bus(sim, bcfg);
-
-  const netsim::CanProtocol frame_proto =
-      spec.protocol == Protocol::kNone
-          ? netsim::CanProtocol::kClassic
-          : (spec.protocol == Protocol::kSecOc ? netsim::CanProtocol::kFd
-                                               : netsim::CanProtocol::kXl);
-
-  std::vector<int> eps;
-  for (int i = 0; i < n; ++i) {
-    eps.push_back(bus.attach("ecu" + std::to_string(i), nullptr));
+  CanSegment(const ScenarioSpec& s, core::Scheduler& scheduler)
+      : spec(s), sim(scheduler), bus(scheduler, bus_config(s)),
+        proto(s.protocol == Protocol::kNone    ? netsim::CanProtocol::kClassic
+              : s.protocol == Protocol::kSecOc ? netsim::CanProtocol::kFd
+                                               : netsim::CanProtocol::kXl) {}
+  CanSegment(const CanSegment&) = delete;  // bus-off events point at this
+  static netsim::CanBusConfig bus_config(const ScenarioSpec& s) {
+    netsim::CanBusConfig cfg;
+    cfg.auto_bus_off_recovery = s.defense.recovery;
+    return cfg;
   }
-  const int attacker = bus.attach("attacker", nullptr);
+  static std::string node_name(int i) { return "ecu" + std::to_string(i); }
+  std::vector<std::string> watched() const { return {"feed"}; }
 
-  // One key for the segment; senders per endpoint, one receiver state at
-  // the gateway (freshness / counters are per data id / association).
-  const core::Bytes key(16, 0x5C);
-  std::vector<secproto::SecOcSender> secoc_tx;
-  std::unique_ptr<secproto::SecOcReceiver> secoc_rx;
-  std::vector<secproto::CansecAssociation> cansec_tx;
-  std::vector<secproto::CansecAssociation> cansec_rx;
-  if (spec.protocol == Protocol::kSecOc) {
-    for (int i = 0; i < n; ++i) secoc_tx.emplace_back(key);
-    secoc_rx = std::make_unique<secproto::SecOcReceiver>(key);
-  } else if (spec.protocol == Protocol::kCansec) {
-    for (int i = 0; i < n; ++i) {
+  /// One key for the segment; senders per endpoint, one receiver state at
+  /// the gateway (freshness / counters are per data id / association).
+  void secure() {
+    const core::Bytes key(16, 0x5C);
+    for (int i = 0; i < spec.nodes; ++i) {
+      if (spec.protocol == Protocol::kSecOc) secoc_tx.emplace_back(key);
+      if (spec.protocol != Protocol::kCansec) continue;
       secproto::CansecConfig ccfg;
       ccfg.association_id = static_cast<std::uint16_t>(i + 1);
       cansec_tx.emplace_back(key, ccfg);
       cansec_rx.emplace_back(key, ccfg);
     }
+    if (spec.protocol == Protocol::kSecOc) secoc_rx.emplace(key);
   }
 
-  // The attacker records the feed's latest on-wire frame for replay/tamper.
-  netsim::CanFrame captured;
-  bool have_captured = false;
-  bus.set_rx(attacker, [&](int src, const netsim::CanFrame& f, core::SimTime) {
-    if (src == eps[0]) {
-      captured = f;
-      have_captured = true;
+  /// Publisher i sends on gateway id 0x100+i.
+  int source_of(const Frame& f) const {
+    const std::uint32_t n = static_cast<std::uint32_t>(spec.nodes);
+    return f.id >= 0x100 && f.id < 0x100 + n ? static_cast<int>(f.id) - 0x100
+                                             : -1;
+  }
+  bool verify(std::size_t i, const Frame& f) {
+    switch (spec.protocol) {
+      case Protocol::kSecOc:
+        return secoc_rx->verify(static_cast<std::uint16_t>(f.id), f.payload)
+            .has_value();
+      case Protocol::kCansec: return cansec_rx[i].unprotect(f).has_value();
+      default: return true;  // plaintext: the gateway cannot tell
     }
+  }
+  Frame publish(std::size_t i, core::Bytes payload) {
+    Frame f;
+    f.id = 0x100 + static_cast<std::uint32_t>(i);
+    f.protocol = proto;
+    f.payload = std::move(payload);
+    if (spec.protocol == Protocol::kSecOc) {
+      f.payload =
+          secoc_tx[i].protect(static_cast<std::uint16_t>(f.id), f.payload);
+    } else if (spec.protocol == Protocol::kCansec) {
+      f = cansec_tx[i].protect(f);
+    }
+    return f;
+  }
+  /// A fabricated frame on the feed's protected id.
+  Frame forge() const {
+    Frame f;
+    f.id = 0x100;
+    f.protocol = proto;
+    std::size_t len = spec.payload;
+    if (spec.protocol == Protocol::kSecOc) {
+      len += secoc_tx[0].overhead_bytes();
+    } else if (spec.protocol == Protocol::kCansec) {
+      len += cansec_tx[0].overhead_bytes();
+      f.sdu_type = secproto::kCansecSduType;
+    }
+    f.payload = core::Bytes(len, 0xEE);
+    return f;
+  }
+
+  /// Bus-off: targeted error injection on the victim's transmissions.
+  void schedule_extra(const AttackEntry& a) {
+    if (a.kind != AttackKind::kBusOff) return;
+    sim.schedule_at(a.at, [this, &a] {
+      bus.inject_errors_on(eps[static_cast<std::size_t>(a.target)],
+                           static_cast<int>(a.count));
+    });
+  }
+  /// Node-level attacks and random injects, via the fault plan.
+  void arm(std::uint64_t seed) {
+    injector.emplace(sim);
+    std::vector<std::string> targets;
+    for (int i = 0; i < spec.nodes; ++i) {
+      node_faults.push_back(std::make_unique<fault::CanNodeFault>(
+          sim, bus, eps[static_cast<std::size_t>(i)], seed + 11 + i));
+      targets.push_back(node_name(i));
+      injector->add_target(targets.back(), node_faults.back().get());
+    }
+    fault::FaultPlan plan;
+    build_plan(spec, seed, node_name, targets, plan);
+    injector->arm(plan);
+  }
+  void add_metrics(fault::Metrics& m) const {
+    m["bus_off_events"] = static_cast<double>(bus.bus_off_events());
+    m["error_frames"] = static_cast<double>(bus.error_frames());
+    m["feed_up_at_end"] =
+        (!bus.is_down(eps[0]) && !bus.is_bus_off(eps[0])) ? 1.0 : 0.0;
+    m["faults_applied"] = static_cast<double>(injector->applied());
+  }
+
+  const ScenarioSpec& spec;
+  core::Scheduler& sim;
+  netsim::CanBus bus;
+  const netsim::CanProtocol proto;
+  std::vector<int> eps;  // publisher i's node id
+  std::vector<secproto::SecOcSender> secoc_tx;
+  std::optional<secproto::SecOcReceiver> secoc_rx;
+  std::vector<secproto::CansecAssociation> cansec_tx, cansec_rx;
+  std::vector<std::unique_ptr<fault::CanNodeFault>> node_faults;
+  std::optional<fault::FaultInjector> injector;  // built by arm()
+};
+
+struct T1sSegment {
+  using Frame = netsim::EthFrame;
+  static constexpr const char* kReceiver = "receiver";
+
+  T1sSegment(const ScenarioSpec& s, core::Scheduler& sim)
+      : spec(s), bus(sim, {}) {}
+  static std::string node_name(int i) { return "node" + std::to_string(i); }
+  std::vector<std::string> watched() const {
+    std::vector<std::string> names;
+    for (int i = 0; i < spec.nodes; ++i) names.push_back(node_name(i));
+    return names;
+  }
+
+  void secure() {
+    const core::Bytes sak(16, 0x4D);
+    for (int i = 0; i < spec.nodes; ++i) {
+      macs.push_back(netsim::mac_from_index(static_cast<std::uint16_t>(i)));
+      if (spec.protocol != Protocol::kMacsec) continue;
+      const auto sci = static_cast<std::uint64_t>(i + 1);
+      mac_tx.push_back(std::make_unique<secproto::MacsecChannel>(sak, sci));
+      mac_rx.push_back(std::make_unique<secproto::MacsecChannel>(sak, sci));
+    }
+  }
+
+  /// Source index from the frame's src MAC (attacker-replayed frames keep
+  /// the victim's MAC — provenance comes from the PLCA node id).
+  int source_of(const Frame& f) const {
+    for (std::size_t i = 0; i < macs.size(); ++i) {
+      if (f.src == macs[i]) return static_cast<int>(i);
+    }
+    return -1;
+  }
+  bool verify(std::size_t i, const Frame& f) {
+    return spec.protocol != Protocol::kMacsec ||
+           mac_rx[i]->unprotect(f).has_value();
+  }
+  Frame publish(std::size_t i, core::Bytes payload) {
+    Frame f;
+    f.src = macs[i];
+    f.dst = netsim::mac_from_index(200);
+    f.payload = std::move(payload);
+    if (spec.protocol == Protocol::kMacsec) return mac_tx[i]->protect(f);
+    return f;
+  }
+  Frame forge() const {
+    Frame f;
+    f.src = netsim::mac_from_index(0);
+    f.dst = netsim::mac_from_index(200);
+    std::size_t len = spec.payload;
+    if (spec.protocol == Protocol::kMacsec) {
+      len += secproto::MacsecChannel::kOverhead;
+      f.ethertype = netsim::kEtherTypeMacsec;
+    }
+    f.payload = core::Bytes(len, 0xEE);
+    return f;
+  }
+
+  void schedule_extra(const AttackEntry&) {}  // mute is the publishers'
+  void arm(std::uint64_t) { bus.start(); }    // no seeded draws here
+  void add_metrics(fault::Metrics& m) const {
+    m["access_mean_us"] = bus.access_latency().mean();
+    m["access_max_us"] = bus.access_latency().max();
+  }
+
+  const ScenarioSpec& spec;
+  netsim::T1sBus bus;
+  std::vector<int> eps;  // publisher i's node id (its PLCA id)
+  std::vector<netsim::MacAddress> macs;
+  std::vector<std::unique_ptr<secproto::MacsecChannel>> mac_tx, mac_rx;
+};
+
+template <class Segment>
+fault::Metrics run_segment_world(const ScenarioSpec& spec,
+                                 core::Scheduler& sim, std::uint64_t seed,
+                                 core::SimTime end) {
+  using Frame = typename Segment::Frame;
+  AVSEC_METRIC_INC("scenario.runs", 1);
+
+  Segment seg(spec, sim);
+  for (int i = 0; i < spec.nodes; ++i) {
+    seg.eps.push_back(seg.bus.attach(Segment::node_name(i), nullptr));
+  }
+  const int attacker = seg.bus.attach("attacker", nullptr);
+  seg.secure();
+
+  // The attacker records the feed's latest on-wire frame for replay/tamper.
+  std::optional<Frame> captured;
+  seg.bus.set_rx(attacker, [&](int src, const Frame& f, core::SimTime) {
+    if (src == seg.eps[0]) captured = f;
   });
 
   health::HeartbeatMonitor monitor(sim, monitor_config(spec.period));
-  if (spec.defense.monitor) monitor.register_source("feed");
+  const std::vector<std::string> watched = seg.watched();
+  if (spec.defense.monitor) {
+    for (const std::string& name : watched) monitor.register_source(name);
+  }
 
   std::uint64_t frames_sent = 0, frames_ok = 0;
-  std::uint64_t attack_frames = 0, attack_accepted = 0, attack_rejected = 0;
+  std::uint64_t attack_accepted = 0, attack_rejected = 0;
   core::SimTime last_feed = 0, worst_gap = 0;
-  bus.attach("gateway", [&](int src, const netsim::CanFrame& f,
-                            core::SimTime now) {
-    const bool from_attacker = src == attacker;
-    const int idx = (f.id >= 0x100 && f.id < 0x100 + static_cast<std::uint32_t>(n))
-                        ? static_cast<int>(f.id) - 0x100
-                        : -1;
-    bool ok = false;
-    if (idx >= 0) {
-      switch (spec.protocol) {
-        case Protocol::kSecOc:
-          ok = secoc_rx->verify(static_cast<std::uint16_t>(f.id), f.payload)
-                   .has_value();
-          break;
-        case Protocol::kCansec:
-          ok = cansec_rx[static_cast<std::size_t>(idx)].unprotect(f).has_value();
-          break;
-        default:
-          ok = true;  // plaintext: the gateway cannot tell
-          break;
-      }
-    }
-    if (from_attacker) {
-      ++attack_frames;
-      (ok ? attack_accepted : attack_rejected) += 1;
+  seg.bus.attach(Segment::kReceiver, [&](int src, const Frame& f,
+                                         core::SimTime now) {
+    const int idx = seg.source_of(f);
+    const auto i = static_cast<std::size_t>(idx);
+    const bool ok = idx >= 0 && seg.verify(i, f);
+    if (src == attacker) {
+      ++(ok ? attack_accepted : attack_rejected);
       return;
     }
     if (!ok) return;
@@ -301,97 +478,50 @@ fault::Metrics run_can_world(const ScenarioSpec& spec, core::Scheduler& sim,
     if (idx == 0) {
       if (last_feed > 0) worst_gap = std::max(worst_gap, now - last_feed);
       last_feed = now;
-      if (spec.defense.monitor) monitor.heartbeat("feed");
+    }
+    if (spec.defense.monitor && i < watched.size()) {
+      monitor.heartbeat(watched[i]);
     }
   });
 
-  // Periodic application traffic from every endpoint, staggered starts.
-  std::vector<std::function<void()>> ticks(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    ticks[static_cast<std::size_t>(i)] = [&, i] {
-      netsim::CanFrame f;
-      f.id = 0x100 + static_cast<std::uint32_t>(i);
-      f.protocol = frame_proto;
-      const core::Bytes payload(spec.payload,
-                                static_cast<std::uint8_t>(0x20 + i));
-      if (spec.protocol == Protocol::kSecOc) {
-        f.payload = secoc_tx[static_cast<std::size_t>(i)].protect(
-            static_cast<std::uint16_t>(f.id), payload);
-      } else if (spec.protocol == Protocol::kCansec) {
-        netsim::CanFrame plain = f;
-        plain.payload = payload;
-        f = cansec_tx[static_cast<std::size_t>(i)].protect(plain);
-      } else {
-        f.payload = payload;
-      }
-      bus.send(eps[static_cast<std::size_t>(i)], f);
-      ++frames_sent;
-      if (sim.now() + spec.period < end) {
-        sim.schedule_in(spec.period,
-                        [t = &ticks[static_cast<std::size_t>(i)]] { (*t)(); });
-      }
-    };
-    sim.schedule_at(core::microseconds(137) * i,
-                    [t = &ticks[static_cast<std::size_t>(i)]] { (*t)(); });
-  }
+  Publishers publishers(sim, spec, end, [&](int i) {
+    const auto payload_byte = static_cast<std::uint8_t>(0x20 + i);
+    const auto n = static_cast<std::size_t>(i);
+    seg.bus.send(seg.eps[n],
+                 seg.publish(n, core::Bytes(spec.payload, payload_byte)));
+    ++frames_sent;
+  });
 
-  // Scheduled protocol-layer attacks and targeted error injection.
+  // Protocol-layer attacks, and the bus's own, in spec order.
+  const auto fire = [&](const AttackEntry& a) {
+    Frame f;
+    switch (a.kind) {
+      case AttackKind::kReplay:
+        if (!captured) return;
+        f = *captured;
+        break;
+      case AttackKind::kTamper:
+        if (!captured || captured->payload.empty()) return;
+        f = *captured;
+        f.payload[0] ^= 0xFF;
+        break;
+      default:  // kForge
+        f = seg.forge();
+        break;
+    }
+    seg.bus.send(attacker, std::move(f));
+  };
   for (const AttackEntry& a : spec.attacks) {
-    if (a.kind == AttackKind::kBusOff) {
-      sim.schedule_at(a.at, [&, a] {
-        bus.inject_errors_on(eps[static_cast<std::size_t>(a.target)],
-                             static_cast<int>(a.count));
-      });
+    if (!is_protocol_attack(a.kind)) {
+      seg.schedule_extra(a);
       continue;
     }
-    if (!is_protocol_attack(a.kind)) continue;
     for (std::uint32_t k = 0; k < a.count; ++k) {
-      sim.schedule_at(a.at + a.delta * k, [&, a] {
-        netsim::CanFrame f;
-        switch (a.kind) {
-          case AttackKind::kReplay:
-            if (!have_captured) return;
-            f = captured;
-            break;
-          case AttackKind::kTamper:
-            if (!have_captured || captured.payload.empty()) return;
-            f = captured;
-            f.payload[0] ^= 0xFF;
-            break;
-          default: {  // kForge: fabricate on the feed's protected id
-            f.id = 0x100;
-            f.protocol = frame_proto;
-            std::size_t len = spec.payload;
-            if (spec.protocol == Protocol::kSecOc) {
-              len += secoc_tx[0].overhead_bytes();
-            } else if (spec.protocol == Protocol::kCansec) {
-              len += cansec_tx[0].overhead_bytes();
-              f.sdu_type = secproto::kCansecSduType;
-            }
-            f.payload = core::Bytes(len, 0xEE);
-            break;
-          }
-        }
-        bus.send(attacker, f);
-      });
+      sim.schedule_at(a.at + a.delta * k, [&fire, &a] { fire(a); });
     }
   }
 
-  // Node-level attacks and random injects, via the fault plan.
-  std::vector<std::unique_ptr<fault::CanNodeFault>> node_faults;
-  fault::FaultInjector injector(sim);
-  std::vector<std::string> targets;
-  for (int i = 0; i < n; ++i) {
-    node_faults.push_back(std::make_unique<fault::CanNodeFault>(
-        sim, bus, eps[static_cast<std::size_t>(i)], seed + 11 + i));
-    targets.push_back("ecu" + std::to_string(i));
-    injector.add_target(targets.back(), node_faults.back().get());
-  }
-  fault::FaultPlan plan;
-  build_plan(spec, seed,
-             [](int t) { return "ecu" + std::to_string(t); }, targets, plan);
-  injector.arm(plan);
-
+  seg.arm(seed);
   if (spec.defense.monitor) monitor.start();
   sim.run_until(end);
   if (spec.defense.monitor) monitor.stop();
@@ -401,183 +531,12 @@ fault::Metrics run_can_world(const ScenarioSpec& spec, core::Scheduler& sim,
   m["frames_sent"] = static_cast<double>(frames_sent);
   m["frames_ok"] = static_cast<double>(frames_ok);
   m["worst_gap_ms"] = core::to_microseconds(worst_gap) / 1000.0;
-  m["attack_frames"] = static_cast<double>(attack_frames);
-  m["attack_accepted"] = static_cast<double>(attack_accepted);
-  m["attack_rejected"] = static_cast<double>(attack_rejected);
-  m["bus_off_events"] = static_cast<double>(bus.bus_off_events());
-  m["error_frames"] = static_cast<double>(bus.error_frames());
-  m["feed_up_at_end"] =
-      (!bus.is_down(eps[0]) && !bus.is_bus_off(eps[0])) ? 1.0 : 0.0;
-  m["faults_applied"] = static_cast<double>(injector.applied());
-  m["monitor_downs"] = static_cast<double>(mt.downs);
-  m["monitor_recoveries"] = static_cast<double>(mt.recoveries);
-  return m;
-}
-
-fault::Metrics run_t1s_world(const ScenarioSpec& spec, core::Scheduler& sim,
-                             std::uint64_t seed, core::SimTime end) {
-  AVSEC_METRIC_INC("scenario.runs", 1);
-  (void)seed;  // traffic and attacks are schedule-driven on this topology
-
-  const int n = spec.nodes;
-  netsim::T1sBus bus(sim, {});
-  std::vector<int> eps;
-  std::vector<std::string> names;
-  std::vector<netsim::MacAddress> macs;
-  for (int i = 0; i < n; ++i) {
-    names.push_back("node" + std::to_string(i));
-    macs.push_back(netsim::mac_from_index(static_cast<std::uint16_t>(i)));
-    eps.push_back(bus.attach(names.back(), nullptr));
-  }
-  const int attacker = bus.attach("attacker", nullptr);
-
-  const core::Bytes sak(16, 0x4D);
-  std::vector<std::unique_ptr<secproto::MacsecChannel>> mac_tx, mac_rx;
-  if (spec.protocol == Protocol::kMacsec) {
-    for (int i = 0; i < n; ++i) {
-      mac_tx.push_back(std::make_unique<secproto::MacsecChannel>(
-          sak, static_cast<std::uint64_t>(i + 1)));
-      mac_rx.push_back(std::make_unique<secproto::MacsecChannel>(
-          sak, static_cast<std::uint64_t>(i + 1)));
-    }
-  }
-
-  // Attacker taps the segment for the feed's latest secured frame.
-  netsim::EthFrame captured;
-  bool have_captured = false;
-  bus.set_rx(attacker, [&](int src, const netsim::EthFrame& f, core::SimTime) {
-    if (src == eps[0]) {
-      captured = f;
-      have_captured = true;
-    }
-  });
-
-  health::HeartbeatMonitor monitor(sim, monitor_config(spec.period));
-  if (spec.defense.monitor) {
-    for (const std::string& name : names) monitor.register_source(name);
-  }
-
-  // Source index from the frame's src MAC (attacker-replayed frames keep
-  // the victim's MAC — provenance comes from the PLCA node id).
-  const auto mac_index = [&](const netsim::MacAddress& mac) -> int {
-    for (int i = 0; i < n; ++i) {
-      if (mac == macs[static_cast<std::size_t>(i)]) return i;
-    }
-    return -1;
-  };
-
-  std::uint64_t frames_sent = 0, frames_ok = 0;
-  std::uint64_t attack_frames = 0, attack_accepted = 0, attack_rejected = 0;
-  core::SimTime last_feed = 0, worst_gap = 0;
-  const int receiver = bus.attach(
-      "receiver", [&](int src, const netsim::EthFrame& f, core::SimTime now) {
-        if (src != attacker && !contains(eps, src)) return;
-        const int idx = mac_index(f.src);
-        bool ok = false;
-        if (idx >= 0) {
-          ok = spec.protocol != Protocol::kMacsec ||
-               mac_rx[static_cast<std::size_t>(idx)]->unprotect(f).has_value();
-        }
-        if (src == attacker) {
-          ++attack_frames;
-          (ok ? attack_accepted : attack_rejected) += 1;
-          return;
-        }
-        if (!ok) return;
-        ++frames_ok;
-        if (idx == 0) {
-          if (last_feed > 0) worst_gap = std::max(worst_gap, now - last_feed);
-          last_feed = now;
-        }
-        if (spec.defense.monitor) {
-          monitor.heartbeat(names[static_cast<std::size_t>(idx)]);
-        }
-      });
-  (void)receiver;
-
-  // Mute windows: a muted publisher skips its tick inside the window.
-  std::vector<std::pair<core::SimTime, core::SimTime>> mutes(
-      static_cast<std::size_t>(n), {end + 1, end + 1});
-  for (const AttackEntry& a : spec.attacks) {
-    if (a.kind != AttackKind::kMute) continue;
-    mutes[static_cast<std::size_t>(a.target)] = {
-        a.at, a.duration > 0 ? a.at + a.duration : end + 1};
-  }
-
-  std::vector<std::function<void()>> ticks(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    ticks[static_cast<std::size_t>(i)] = [&, i] {
-      const auto& mute = mutes[static_cast<std::size_t>(i)];
-      if (sim.now() < mute.first || sim.now() >= mute.second) {
-        netsim::EthFrame f;
-        f.src = macs[static_cast<std::size_t>(i)];
-        f.dst = netsim::mac_from_index(200);
-        f.payload = core::Bytes(spec.payload,
-                                static_cast<std::uint8_t>(0x20 + i));
-        if (spec.protocol == Protocol::kMacsec) {
-          f = mac_tx[static_cast<std::size_t>(i)]->protect(f);
-        }
-        bus.send(eps[static_cast<std::size_t>(i)], std::move(f));
-        ++frames_sent;
-      }
-      if (sim.now() + spec.period < end) {
-        sim.schedule_in(spec.period,
-                        [t = &ticks[static_cast<std::size_t>(i)]] { (*t)(); });
-      }
-    };
-    sim.schedule_at(core::microseconds(137) * i,
-                    [t = &ticks[static_cast<std::size_t>(i)]] { (*t)(); });
-  }
-
-  for (const AttackEntry& a : spec.attacks) {
-    if (!is_protocol_attack(a.kind)) continue;
-    for (std::uint32_t k = 0; k < a.count; ++k) {
-      sim.schedule_at(a.at + a.delta * k, [&, a] {
-        netsim::EthFrame f;
-        switch (a.kind) {
-          case AttackKind::kReplay:
-            if (!have_captured) return;
-            f = captured;
-            break;
-          case AttackKind::kTamper:
-            if (!have_captured || captured.payload.empty()) return;
-            f = captured;
-            f.payload[0] ^= 0xFF;
-            break;
-          default: {  // kForge
-            f.src = netsim::mac_from_index(0);
-            f.dst = netsim::mac_from_index(200);
-            std::size_t len = spec.payload;
-            if (spec.protocol == Protocol::kMacsec) {
-              len += secproto::MacsecChannel::kOverhead;
-              f.ethertype = netsim::kEtherTypeMacsec;
-            }
-            f.payload = core::Bytes(len, 0xEE);
-            break;
-          }
-        }
-        bus.send(attacker, f);
-      });
-    }
-  }
-
-  bus.start();
-  if (spec.defense.monitor) monitor.start();
-  sim.run_until(end);
-  if (spec.defense.monitor) monitor.stop();
-
-  const MonitorTally mt = tally(monitor);
-  fault::Metrics m;
-  m["frames_sent"] = static_cast<double>(frames_sent);
-  m["frames_ok"] = static_cast<double>(frames_ok);
-  m["worst_gap_ms"] = core::to_microseconds(worst_gap) / 1000.0;
-  m["attack_frames"] = static_cast<double>(attack_frames);
+  m["attack_frames"] = static_cast<double>(attack_accepted + attack_rejected);
   m["attack_accepted"] = static_cast<double>(attack_accepted);
   m["attack_rejected"] = static_cast<double>(attack_rejected);
   m["monitor_downs"] = static_cast<double>(mt.downs);
   m["monitor_recoveries"] = static_cast<double>(mt.recoveries);
-  m["access_mean_us"] = bus.access_latency().mean();
-  m["access_max_us"] = bus.access_latency().max();
+  seg.add_metrics(m);
   return m;
 }
 
@@ -716,54 +675,29 @@ fault::Metrics run_heartbeat_world(const ScenarioSpec& spec,
     }
   }
 
-  // Mute windows. A "hard" mute (magnitude >= 0.5) also takes the probe
-  // responder offline, so challenge-response cannot mask it.
-  std::vector<std::pair<core::SimTime, core::SimTime>> mutes(
-      static_cast<std::size_t>(n), {end + 1, end + 1});
+  // A "hard" mute (magnitude >= 0.5) also takes the probe responder
+  // offline, so challenge-response cannot mask it.
   for (const AttackEntry& a : spec.attacks) {
-    if (a.kind != AttackKind::kMute) continue;
-    const core::SimTime stop = a.duration > 0 ? a.at + a.duration : end + 1;
-    mutes[static_cast<std::size_t>(a.target)] = {a.at, stop};
-    if (a.magnitude >= 0.5 && spec.defense.recovery) {
-      sim.schedule_at(a.at, [&, a] {
-        responders[static_cast<std::size_t>(a.target)]->set_online(false);
-      });
-      if (a.duration > 0) {
-        sim.schedule_at(stop, [&, a] {
-          responders[static_cast<std::size_t>(a.target)]->set_online(true);
-        });
-      }
+    if (a.kind != AttackKind::kMute || a.magnitude < 0.5) continue;
+    if (!spec.defense.recovery) continue;
+    auto* r = responders[static_cast<std::size_t>(a.target)].get();
+    sim.schedule_at(a.at, [r] { r->set_online(false); });
+    if (a.duration > 0) {
+      sim.schedule_at(a.at + a.duration, [r] { r->set_online(true); });
     }
   }
 
   std::uint64_t beats_sent = 0;
-  std::vector<std::function<void()>> beats(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    beats[static_cast<std::size_t>(i)] = [&, i] {
-      const auto& mute = mutes[static_cast<std::size_t>(i)];
-      if (sim.now() < mute.first || sim.now() >= mute.second) {
-        monitor.heartbeat(names[static_cast<std::size_t>(i)]);
-        ++beats_sent;
-      }
-      if (sim.now() + spec.period < end) {
-        sim.schedule_in(spec.period,
-                        [b = &beats[static_cast<std::size_t>(i)]] { (*b)(); });
-      }
-    };
-    sim.schedule_at(core::microseconds(137) * i,
-                    [b = &beats[static_cast<std::size_t>(i)]] { (*b)(); });
-  }
+  Publishers beats(sim, spec, end, [&](int i) {
+    monitor.heartbeat(names[static_cast<std::size_t>(i)]);
+    ++beats_sent;
+  });
 
   monitor.start();
   sim.run_until(end);
   monitor.stop();
 
-  std::uint64_t misses = 0, downs = 0, recoveries = 0;
-  for (const health::HeartbeatEvent& e : monitor.events()) {
-    misses += e.kind == health::HeartbeatEventKind::kMiss;
-    downs += e.kind == health::HeartbeatEventKind::kDown;
-    recoveries += e.kind == health::HeartbeatEventKind::kRecovered;
-  }
+  const MonitorTally mt = tally(monitor);
   std::uint64_t answered = 0;
   for (const auto& r : responders) answered += r->challenges_answered();
   bool all_alive = true;
@@ -772,16 +706,25 @@ fault::Metrics run_heartbeat_world(const ScenarioSpec& spec,
   }
   fault::Metrics m;
   m["beats_sent"] = static_cast<double>(beats_sent);
-  m["misses"] = static_cast<double>(misses);
-  m["downs"] = static_cast<double>(downs);
-  m["recoveries"] = static_cast<double>(recoveries);
+  m["misses"] = static_cast<double>(mt.misses);
+  m["downs"] = static_cast<double>(mt.downs);
+  m["recoveries"] = static_cast<double>(mt.recoveries);
   m["probes_answered"] = static_cast<double>(answered);
   m["alive_at_end"] = all_alive ? 1.0 : 0.0;
   return m;
 }
 
+/// Sim-event budget of one run, for campaign sweeps and serve alike.
+constexpr std::uint64_t kMaxEventsPerRun = 20'000'000;
+
 std::string oracle_name(const Oracle& o) {
   return o.metric + " " + oracle_op_name(o.op) + " " + double_literal(o.value);
+}
+
+/// An oracle on a metric the run did not report fails.
+bool oracle_passes(const Oracle& o, const fault::Metrics& m) {
+  const auto it = m.find(o.metric);
+  return it != m.end() && oracle_holds(o.op, it->second, o.value);
 }
 
 }  // namespace
@@ -797,8 +740,10 @@ fault::Metrics CompiledScenario::run(core::Scheduler& sim, std::uint64_t seed,
   const core::SimTime end =
       scale == serve::Scale::kFull ? spec_.horizon : smoke_horizon();
   switch (spec_.topology) {
-    case Topology::kCan: return run_can_world(spec_, sim, seed, end);
-    case Topology::kT1s: return run_t1s_world(spec_, sim, seed, end);
+    case Topology::kCan:
+      return run_segment_world<CanSegment>(spec_, sim, seed, end);
+    case Topology::kT1s:
+      return run_segment_world<T1sSegment>(spec_, sim, seed, end);
     case Topology::kLink: return run_link_world(spec_, sim, seed, end);
     case Topology::kHeartbeat:
       return run_heartbeat_world(spec_, sim, seed, end);
@@ -812,7 +757,7 @@ fault::CampaignConfig CompiledScenario::campaign_config(
   cfg.runs = spec_.runs;
   cfg.base_seed = spec_.seed;
   cfg.workers = workers;
-  cfg.supervision.max_events = 20'000'000;
+  cfg.supervision.max_events = kMaxEventsPerRun;
   return cfg;
 }
 
@@ -822,10 +767,8 @@ fault::Campaign CompiledScenario::campaign(
   cfg.manifest_path = manifest_path;
   fault::Campaign c(cfg);
   for (const Oracle& o : spec_.oracles) {
-    c.require(oracle_name(o), [o](const fault::Metrics& m) {
-      const auto it = m.find(o.metric);
-      return it != m.end() && oracle_holds(o.op, it->second, o.value);
-    });
+    c.require(oracle_name(o),
+              [o](const fault::Metrics& m) { return oracle_passes(o, m); });
   }
   return c;
 }
@@ -834,10 +777,7 @@ std::vector<std::string> CompiledScenario::oracle_failures(
     const fault::Metrics& m) const {
   std::vector<std::string> out;
   for (const Oracle& o : spec_.oracles) {
-    const auto it = m.find(o.metric);
-    if (it == m.end() || !oracle_holds(o.op, it->second, o.value)) {
-      out.push_back(oracle_name(o));
-    }
+    if (!oracle_passes(o, m)) out.push_back(oracle_name(o));
   }
   return out;
 }
@@ -854,7 +794,7 @@ serve::Scenario CompiledScenario::serve_entry() const {
   };
   s.cost_hint_ms_per_seed =
       1.0 + core::to_microseconds(spec_.horizon) / 400'000.0;
-  s.default_max_events = 20'000'000;
+  s.default_max_events = kMaxEventsPerRun;
   return s;
 }
 
@@ -927,7 +867,7 @@ CompileResult compile(const ScenarioSpec& spec) {
                       topology_name(topo));
     }
     for (const AttackKind k : r.kinds) {
-      if (!is_plan_kind(k) || !contains(valid_attacks(topo), k)) {
+      if (!plan_kind(k) || !contains(valid_attacks(topo), k)) {
         return fail(spec, r.line,
                     std::string("inject kind ") + attack_kind_name(k) +
                         " is not valid on topology " + topology_name(topo));

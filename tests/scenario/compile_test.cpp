@@ -153,12 +153,26 @@ TEST(ScenarioCompile, RunIsDeterministicAndComplete) {
   const fault::Metrics ma = r.compiled.run(a, 5);
   const fault::Metrics mb = r.compiled.run(b, 5);
   EXPECT_EQ(ma, mb);
-  // The metric set is total: every documented name is present.
-  for (const std::string& name : metric_names(Topology::kCan)) {
-    EXPECT_TRUE(ma.count(name)) << name;
-  }
   EXPECT_GE(ma.at("frames_sent"), 1.0);
   EXPECT_EQ(ma.at("attack_accepted"), 0.0);
+
+  // The metric set is exact on every topology: a run reports every name
+  // an oracle may use, and compile() accepts an oracle on every name a
+  // run reports.
+  for (Topology t : {Topology::kCan, Topology::kT1s, Topology::kLink,
+                     Topology::kHeartbeat}) {
+    CompileResult c = compile(spec_of(
+        std::string("scenario set\n  horizon 100ms\n\ntopology ") +
+        topology_name(t) +
+        "\n  period 5ms\n\ndefense\n  monitor on\n  recovery off\n"));
+    ASSERT_TRUE(c.ok) << c.error.to_string();
+    core::Scheduler sim;
+    std::vector<std::string> emitted;
+    for (const auto& [name, value] : c.compiled.run(sim, 5)) {
+      emitted.push_back(name);
+    }
+    EXPECT_EQ(emitted, metric_names(t)) << topology_name(t);
+  }
 }
 
 TEST(ScenarioCompile, SmokeScaleShrinksTheRun) {

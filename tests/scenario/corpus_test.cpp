@@ -3,7 +3,8 @@
 // campaign reports at 1, 2 and 8 workers. The committed COVERAGE.txt must
 // byte-match the regenerated report, so coverage regressions show up as a
 // diff in review, not silently; the committed REPORTS.txt pins every
-// scenario's report bytes the same way, across commits.
+// scenario's report bytes the same way, across commits, and UNIVERSE.txt
+// pins one generated scenario per cell of the whole validity matrix.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -31,6 +32,15 @@ std::string read_file(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+/// The report digest line of `s` swept at `workers`.
+std::string digest_line(const CompiledScenario& s, std::size_t workers) {
+  const fault::CampaignReport r = s.campaign(workers).sweep(
+      [&s](fault::SimContext& ctx, std::uint64_t seed) {
+        return s.run(ctx.sim(), seed);
+      });
+  return report_digest_line(s.spec().name, r);
 }
 
 TEST(ScenarioCorpus, LoadsCleanWithAtLeast50Scenarios) {
@@ -112,18 +122,42 @@ TEST(ScenarioCorpus, CommittedReportDigestsMatchAtOneAndFourWorkers) {
   for (const std::size_t workers : {1u, 4u}) {
     std::string regenerated;
     for (const CorpusEntry& e : corpus().entries) {
-      const CompiledScenario& s = e.compiled;
-      const fault::CampaignReport r =
-          s.campaign(workers).sweep([&s](fault::SimContext& ctx,
-                                         std::uint64_t seed) {
-            return s.run(ctx.sim(), seed);
-          });
-      regenerated += report_digest_line(s.spec().name, r);
+      regenerated += digest_line(e.compiled, workers);
     }
     EXPECT_EQ(committed, regenerated)
         << "report bytes drifted at " << workers
         << " workers; if deliberate, regenerate with example_scenario_run "
            "--reports scenarios/REPORTS.txt scenarios/*.avsc";
+  }
+}
+
+// The corpus reaches only part of the cell universe; 122 generated specs
+// walk the generator's whole permutation, one per cell, so every cell's
+// lowering has its report bytes pinned across commits.
+TEST(ScenarioCorpus, CommittedUniverseDigestsMatchAtOneAndFourWorkers) {
+  const std::string committed =
+      read_file(std::string(AVSEC_SCENARIO_CORPUS_DIR) + "/UNIVERSE.txt");
+  ASSERT_FALSE(committed.empty())
+      << "scenarios/UNIVERSE.txt missing — generate with "
+         "example_scenario_run --generate 122 --seed 1 --reports";
+  GeneratorConfig gcfg;
+  gcfg.count = 122;
+  gcfg.seed = 1;
+  std::vector<CompiledScenario> universe;
+  for (const ScenarioSpec& spec : generate(gcfg)) {
+    CompileResult built = compile(spec);
+    ASSERT_TRUE(built.ok) << built.error.to_string();
+    universe.push_back(std::move(built.compiled));
+  }
+  for (const std::size_t workers : {1u, 4u}) {
+    std::string regenerated;
+    for (const CompiledScenario& s : universe) {
+      regenerated += digest_line(s, workers);
+    }
+    EXPECT_EQ(committed, regenerated)
+        << "universe report bytes drifted at " << workers
+        << " workers; if deliberate, regenerate with example_scenario_run "
+           "--generate 122 --seed 1 --reports scenarios/UNIVERSE.txt";
   }
 }
 
