@@ -6,10 +6,12 @@
 //     that builds a fresh Scheduler per run and one that runs on the
 //     worker's pooled SimContext (scheduler reset between seeds) —
 //     speedup_vs_fresh is what the pool buys;
-//  b) scheduler cost: raw event churn on one reset-and-reused scheduler,
-//     in ns per event, with in-place bodies (scheduler_churn) and with
-//     bodies that capture a core::Bytes and so are boxed
-//     (scheduler_churn_boxed);
+//  b) scheduler cost on one reset-and-reused scheduler, in ns per event
+//     scheduled: raw churn in ascending time order with in-place bodies
+//     (scheduler_churn) and with bodies that capture a core::Bytes and so
+//     are boxed (scheduler_churn_boxed), and a steady state shaped like a
+//     PLCA segment, where pushes land inside a small heap
+//     (scheduler_steady);
 //  c) throughput: sweep wall-clock scales with workers (speedup vs the
 //     same-mode serial arm; ~1 on a single-core host — the JSON header
 //     records hardware_concurrency so the number is interpretable).
@@ -79,6 +81,42 @@ void churn(core::Scheduler& sim, std::size_t events, MakeBody body) {
   sim.run();
 }
 
+// A steady state shaped like plca-bus: 8 self-rescheduling timers with
+// staggered phases and periods, and one wake that every tick cancels and
+// re-arms a little ahead, as T1sBus re-arms its wake. The heap holds about
+// 10 events (the timers, the wake and a few tombstones), and the re-armed
+// wake sifts up past most timers. Runs `ticks` timer ticks, then drains.
+class SteadyTimers {
+ public:
+  static constexpr std::size_t kTimers = 8;
+
+  SteadyTimers(core::Scheduler& sim, std::size_t ticks)
+      : sim_(sim), left_(ticks) {
+    for (std::size_t i = 0; i < kTimers; ++i) {
+      sim_.schedule_at(static_cast<core::SimTime>(110 * i),
+                       [this, i] { tick(i); });
+    }
+  }
+
+  /// Events scheduled by a run of `ticks` ticks: each tick re-arms the
+  /// wake and its own timer.
+  static std::size_t events(std::size_t ticks) { return kTimers + 2 * ticks; }
+
+ private:
+  void tick(std::size_t i) {
+    if (left_ == 0) return;
+    --left_;
+    sim_.cancel(wake_);
+    wake_ = sim_.schedule_in(250, [] {});
+    sim_.schedule_in(static_cast<core::SimTime>(900 + 70 * i),
+                     [this, i] { tick(i); });
+  }
+
+  core::Scheduler& sim_;
+  std::size_t left_;
+  core::EventHandle wake_;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -110,6 +148,18 @@ int main(int argc, char** argv) {
   });
   std::printf("scheduler churn (boxed bodies): %.0f ns/event\n",
               boxed_ns / churn_ops);
+  const std::size_t ticks = 1000;
+  const double steady_ops =
+      static_cast<double>(reps * SteadyTimers::events(ticks));
+  const double steady_ns = h.time("scheduler_steady", steady_ops, [&] {
+    for (std::size_t r = 0; r < reps; ++r) {
+      warm.reset();
+      SteadyTimers timers(warm, ticks);
+      warm.run();
+    }
+  });
+  std::printf("scheduler steady state: %.0f ns/event\n",
+              steady_ns / steady_ops);
 
   // --- engine-mode arms: fresh worlds vs pooled contexts, serial -------
   fault::CampaignReport fresh_report;

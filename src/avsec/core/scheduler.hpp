@@ -1,15 +1,22 @@
 // Discrete-event simulation kernel.
 //
-// A Scheduler owns a binary heap of (time, id, body) events. Ids are
+// A Scheduler owns a binary min-heap of (time, id, body) events. Ids are
 // handed out in scheduling order, so they double as the tie-breaker:
 // events scheduled for the same instant fire in scheduling order, which
 // keeps runs bit-reproducible across platforms.
 //
-// Cancellation is lazy: cancel() only marks the event settled (one bit in
-// a vector indexed by id — campaigns cancel thousands of retransmit and
-// watchdog timers per run, so cancellation must be O(1)) and counts it as
-// a tombstone; the event body is released when it reaches the front of
-// the heap.
+// The heap's sifts are written out so that each step moves one event
+// once. schedule_at() sifts a hole up from the new leaf and writes the
+// new event into it; its id is the largest handed out, so a parent at an
+// equal time stops the climb. A pop takes the root and sifts the last
+// event down into the hole the root leaves.
+//
+// Cancellation is lazy: cancel() only marks the event settled (one bit,
+// kept in 64-bit words indexed by id — campaigns cancel thousands of
+// retransmit and watchdog timers per run, so cancellation must be O(1))
+// and counts it as a tombstone; the event body is released when it
+// reaches the front of the heap. Dispatch settles the event too, so a
+// settled event at the front is always a tombstone.
 //
 // Event bodies are core::Callback, a move-only std::function<void()>
 // without the copy. A closure that is trivially copyable, at most two
@@ -29,13 +36,13 @@
 //     sim.schedule_in(period, [f = &tick] { (*f)(); });
 //   };
 //
-// Memory: the settled bits grow by one bit per scheduled event until
-// reset() — about 250 KB at serve's 2M-event `busy-loop` budget. reset()
-// clears both vectors without releasing their capacity, so a pooled
-// scheduler (fault::SimContext) runs every seed after the first on warm
-// storage. reset() restores the exact freshly-constructed state, which is
-// what makes pooled-context reuse byte-identical to building a new
-// scheduler per run.
+// Memory: the settled bits take one 64-bit word per 64 scheduled events
+// until reset() — about 250 KB at serve's 2M-event `busy-loop` budget.
+// reset() clears both vectors without releasing their capacity, so a
+// pooled scheduler (fault::SimContext) runs every seed after the first on
+// warm storage. reset() restores the exact freshly-constructed state,
+// which is what makes pooled-context reuse byte-identical to building a
+// new scheduler per run.
 #pragma once
 
 #include <cstddef>
@@ -219,14 +226,23 @@ class Scheduler {
   };
   static_assert(std::is_trivially_copyable_v<Event>,
                 "heap sifts must move events as plain bytes");
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.id > b.id;  // FIFO among equal times
-    }
-  };
+  /// Heap order: time, then id (FIFO among equal times).
+  static bool earlier(const Event& a, const Event& b) {
+    return a.time < b.time || (a.time == b.time && a.id < b.id);
+  }
+
+  bool settled(std::uint64_t id) const {
+    return ((settled_[(id - 1) / 64] >> ((id - 1) % 64)) & 1) != 0;
+  }
+  void settle(std::uint64_t id) {
+    settled_[(id - 1) / 64] |= std::uint64_t{1} << ((id - 1) % 64);
+  }
 
   bool pop_one();
+  /// Removes and returns the front event; the heap must not be empty.
+  Event pop_front();
+  /// Pops the front event, which must be live, and runs its body.
+  void dispatch_front();
   /// Drops cancelled events from the front of the heap.
   void drop_cancelled_front();
   /// Releases the body of every event still in the heap.
@@ -236,10 +252,11 @@ class Scheduler {
   DispatchObserver* observer_ = nullptr;
   std::uint64_t dispatched_ = 0;
   SimTime now_ = 0;
-  std::vector<Event> heap_;  // std::push_heap/pop_heap with Later
-  /// settled_[id - 1] is set once event `id` is dispatched or cancelled;
-  /// its size is the last id handed out.
-  std::vector<bool> settled_;
+  std::vector<Event> heap_;  // binary min-heap in `earlier` order
+  /// Bit (id - 1) % 64 of word (id - 1) / 64 is set once event `id` is
+  /// dispatched or cancelled.
+  std::vector<std::uint64_t> settled_;
+  std::uint64_t last_id_ = 0;  // the last id handed out
   std::size_t cancelled_ = 0;  // cancelled events still in heap_
 };
 

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <vector>
 
+#include "avsec/scenario/compile.hpp"
+
 namespace avsec::scenario {
 namespace {
 
@@ -122,6 +124,11 @@ class Parser {
     }
     if (!failed_ && result_.spec.name.empty()) {
       fail(1, "scenario: expected a name");
+    }
+    // An absent defense section is the strongest posture the topology
+    // supports: defended where recovery lowers, monitored on t1s.
+    if (!failed_ && !seen_defense_) {
+      spec().defense = valid_postures(spec().topology).back();
     }
     result_.ok = !failed_;
     return std::move(result_);

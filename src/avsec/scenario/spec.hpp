@@ -91,7 +91,10 @@ struct RandomInject {
 };
 
 /// Defense posture toggles. The (monitor, recovery) pair names the
-/// coverage posture axis: open, monitored, recovering, defended.
+/// coverage posture axis: open, monitored, recovering, defended. The
+/// defaults fill properties a `defense` section omits; a spec with no
+/// `defense` section gets the last of valid_postures(topology), the
+/// strongest posture the topology supports.
 struct DefenseConfig {
   bool monitor = true;   // health monitoring attached to the feed
   bool recovery = true;  // auto-recovery paths armed (bus-off rejoin,

@@ -2,6 +2,7 @@
 // defaults on minimal input, and the canonical-text round-trip.
 #include <gtest/gtest.h>
 
+#include "avsec/scenario/compile.hpp"
 #include "avsec/scenario/parser.hpp"
 #include "avsec/scenario/spec.hpp"
 
@@ -191,6 +192,23 @@ TEST(ScenarioParser, DefenseTakesNoArguments) {
   const ParseError e = parse_err("scenario x\n\ndefense hard\n");
   EXPECT_EQ(e.line, 3);
   EXPECT_EQ(e.message, "defense: takes no arguments");
+}
+
+TEST(ScenarioParser, AbsentDefenseIsStrongestValidPosture) {
+  // t1s has no recovery lowering, so its strongest posture is monitored.
+  const ScenarioSpec t1s = parse_ok("scenario bus\n\ntopology t1s\n");
+  EXPECT_TRUE(t1s.defense.monitor);
+  EXPECT_FALSE(t1s.defense.recovery);
+  const CompileResult c = compile(t1s);
+  EXPECT_TRUE(c.ok) << c.error.to_string();
+  EXPECT_NE(canonical_text(t1s).find("defense\n  monitor on\n  recovery off\n"),
+            std::string::npos)
+      << canonical_text(t1s);
+  // can supports recovery, so a spec without the section stays defended.
+  const ScenarioSpec can = parse_ok("scenario ecu\n\ntopology can\n");
+  EXPECT_TRUE(can.defense.monitor);
+  EXPECT_TRUE(can.defense.recovery);
+  EXPECT_TRUE(compile(can).ok);
 }
 
 TEST(ScenarioParser, DefenseBadToggle) {
